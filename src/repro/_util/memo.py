@@ -14,9 +14,10 @@ barely change between rounds:
   pair it saw the round before.
 
 Both consumers share the machinery here.  Everything is
-**content-addressed**: memo keys are (fingerprints of) the full input
-values, so a hit is *semantically identical* to recomputing — caching
-can change wall-clock time, never results.  The ``replay`` knob every
+**content-addressed**: memo keys are fingerprints or hash-consed ids
+(:class:`HistoryIds`) of the full input values, so a hit is
+*semantically identical* to recomputing — caching can change
+wall-clock time, never results.  The ``replay`` knob every
 consumer exposes selects between
 
 * ``"incremental"`` (default) — reuse content-matched work from the
@@ -38,6 +39,7 @@ that and fall back to the scratch path for the affected node.
 
 from __future__ import annotations
 
+import itertools
 import pickle
 from typing import Any, Dict, Hashable, Optional, Tuple
 
@@ -54,6 +56,7 @@ __all__ = [
     "FingerprintCache",
     "ReplayMemo",
     "GenerationalMemo",
+    "HistoryIds",
     "note_extension",
     "extension_parent",
 ]
@@ -162,9 +165,9 @@ class ReplayMemo:
 class GenerationalMemo:
     """Content keys bucketed by generation, with stale-bucket eviction.
 
-    The Section 5 replay pattern: at G-round ``t`` every replay key is
-    a pair of length-``t`` histories, and the only useful prior entries
-    are the length-``t-1`` ones from the previous round.  ``put``
+    The Section 5 replay pattern: at G-round ``t`` every replay key
+    names a pair of length-``t`` histories, and the only useful prior
+    entries are the length-``t-1`` ones from the previous round.  ``put``
     retires every bucket older than ``generation - 1`` so the memo
     holds at most two generations at a time, bounding memory by the
     live working set instead of the whole run.
@@ -201,6 +204,88 @@ class GenerationalMemo:
 
     def clear(self) -> None:
         self._buckets.clear()
+
+
+class HistoryIds:
+    """Hash-consed integer ids for append-only message histories.
+
+    The Section 5 replay keys on pairs of histories that grow by one
+    message per round.  Hashing them as tuples costs O(length) per
+    lookup — O(rounds²) per node over a run.  This table names every
+    history content by an integer ``hid`` instead, built like a trie:
+
+    * the empty history has ``hid(()) == 0``;
+    * ``hid(h + (m,))`` is the id interned under ``(hid(h), m)``.
+
+    A history's id therefore costs one dictionary lookup on top of its
+    parent's, and a replay key made of ids hashes in O(1).
+
+    Ids are drawn from a counter and never reissued, so by induction
+    on length an id denotes exactly one history content (up to ``==``
+    on messages, the equality of the tuple keys ids replace): an
+    id-keyed memo hit is as sound as a content-keyed one.  Equal
+    contents get equal ids while the tables are intact; after a
+    wholesale wipe (the size bound) a content seen before may get a
+    second id, which only costs memo misses.  A pickled copy starts
+    empty above every id the original had issued, so ids held by a
+    copied memo are never reissued for another content.  Threads may
+    share a table without a lock: the counter is atomic and a key's id
+    is stored once (``setdefault``), so a race at most wastes an id.
+
+    Lookups by object go through an identity memo (same pinning
+    discipline as :class:`repro._util.identity.IdentityMemo`): a
+    producer that extends ``parent`` into ``child`` registers the child
+    with :meth:`extend`, and every later :meth:`of` on that object is
+    O(1).  An unregistered object — a pickled or restored history, one
+    rebuilt by a fault adversary, one evicted by the bound — is interned
+    message by message, O(length) once, then cached.
+    """
+
+    __slots__ = ("_children", "_objects", "_counter", "limit")
+
+    def __init__(self, first: int = 1, limit: int = 1 << 16) -> None:
+        # (parent id, message) -> child id.
+        self._children: Dict[Tuple[int, Hashable], int] = {}
+        # history object -> (id, parent id).
+        self._objects = IdentityMemo(limit)
+        self._counter = itertools.count(first)
+        self.limit = limit
+
+    def __reduce__(self):
+        # Drawing one id bounds every id issued so far; the copy starts
+        # empty from there, so it never reissues an id a copied memo holds.
+        return (HistoryIds, (next(self._counter), self.limit))
+
+    def _child(self, parent: int, message: Hashable) -> int:
+        key = (parent, message)
+        children = self._children
+        hid = children.get(key)
+        if hid is None:
+            if len(children) >= self.limit:
+                children.clear()
+            hid = children.setdefault(key, next(self._counter))
+        return hid
+
+    def of(self, history: Tuple) -> Tuple[int, int]:
+        """``(id, parent id)`` of ``history``; ``()`` gives ``(0, -1)``."""
+        entry = self._objects.get(history)
+        if entry is not None:
+            return entry
+        hid, pid = 0, -1
+        for message in history:
+            hid, pid = self._child(hid, message), hid
+        return self._objects.put(history, (hid, pid))
+
+    def extend(self, parent: Tuple, child: Tuple) -> None:
+        """Record that ``child == parent + (child[-1],)``.
+
+        The same caller contract as :func:`note_extension`, checked
+        structurally: a child of the wrong length is left unregistered
+        (and interned from its contents when looked up).
+        """
+        if len(child) == len(parent) + 1:
+            pid = self.of(parent)[0]
+            self._objects.put(child, (self._child(pid, child[-1]), pid))
 
 
 # ----------------------------------------------------------------------

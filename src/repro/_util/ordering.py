@@ -22,13 +22,15 @@ O(new elements) instead of O(total history).  History tuples whose
 producer registered the one-element extension relationship
 (:func:`repro._util.memo.note_extension`) key even cheaper: the new
 key is the parent's cached key plus the new element's key, with no
-per-element recursion at all.
+per-element recursion at all.  Those element keys are interned (one
+object per distinct key), so sorting an inbox of histories that share
+a long prefix compares the prefix by identity, not value by value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro._util.identity import IdentityMemo
 from repro._util.memo import extension_parent
@@ -47,6 +49,19 @@ _RANK_DICT = 5
 
 # Only deeply immutable tuples are stored.
 _KEY_MEMO = IdentityMemo(limit=1 << 16)
+
+# Element keys of extension chains, interned: equal key -> one object.
+_ELEMENT_KEYS: Dict[Tuple, Tuple] = {}
+_ELEMENT_KEYS_LIMIT = 1 << 16
+
+
+def _intern_element_key(key: Tuple) -> Tuple:
+    shared = _ELEMENT_KEYS.get(key)
+    if shared is None:
+        if len(_ELEMENT_KEYS) >= _ELEMENT_KEYS_LIMIT:
+            _ELEMENT_KEYS.clear()
+        shared = _ELEMENT_KEYS.setdefault(key, key)
+    return shared
 
 
 def canonical_key(value: Any) -> Tuple:
@@ -87,11 +102,14 @@ def _key(value: Any) -> Tuple[Tuple, bool]:
             parent_key = _KEY_MEMO.get(parent)
             if parent_key is not None:
                 last_key, last_frozen = _key(value[-1])
-                key = (_RANK_TUPLE, parent_key[1] + (last_key,))
-                if last_frozen:
-                    _KEY_MEMO.put(value, key)
-                    return key, True
-                return key, False
+                if not last_frozen:
+                    return (_RANK_TUPLE, parent_key[1] + (last_key,)), False
+                # One shared object per distinct element key, so comparing
+                # two histories skips their equal messages by identity
+                # instead of comparing values.
+                key = (_RANK_TUPLE, parent_key[1] + (_intern_element_key(last_key),))
+                _KEY_MEMO.put(value, key)
+                return key, True
         parts = []
         frozen = True
         for v in value:

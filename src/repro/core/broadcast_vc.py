@@ -26,15 +26,20 @@ at G-round ``t`` each element machine is re-simulated through all
 number.  ``replay="scratch"`` implements exactly that, and is kept as
 the executable reference contract.  The default
 ``replay="incremental"`` extends the previous round's replay instead:
-a content-addressed memo (:class:`repro._util.memo.GenerationalMemo`,
-keyed on the *full history contents*, so a hit is semantically
-identical to a fresh replay) holds the element states of the previous
-generation, and each G-round replays only the one new A-round.  The
-growing history tuples are also registered with
+a content-addressed memo (:class:`repro._util.memo.GenerationalMemo`)
+holds the element states of the previous generation, and each G-round
+replays only the one new A-round — once per edge, because an element's
+inbox is the sorted pair of its endpoints' messages, so the second
+endpoint reuses the first one's replay.  The memo is keyed on
+hash-consed history ids (:class:`repro._util.memo.HistoryIds`): an id
+names one full history content, so a hit is semantically identical to
+a fresh replay, and a key hashes in O(1) instead of O(round).  Each
+new history gets its id from its parent's when it is built, and the
+growing tuples are also registered with
 :func:`repro._util.memo.note_extension`, so bit-metering and canonical
-keying of the rebroadcast histories cost O(1) per round instead of
-O(round).  Outputs, rounds, messages and metered bits are bit-for-bit
-identical across modes — pinned by ``tests/test_replay_memo.py``.
+keying of the rebroadcast histories cost O(1) per round too.  Outputs,
+rounds, messages and metered bits are bit-for-bit identical across
+modes — pinned by ``tests/test_replay_memo.py``.
 
 One extra readout round is appended after ``A`` terminates so that
 every node can also report the final packing values of its incident
@@ -46,10 +51,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
+from repro._util.identity import IdentityMemo
 from repro._util.memo import (
     REPLAY_INCREMENTAL,
     REPLAY_SCRATCH,
     GenerationalMemo,
+    HistoryIds,
     note_extension,
     validate_replay,
 )
@@ -98,12 +105,21 @@ class BroadcastVertexCoverMachine(Machine):
         self.arithmetic = self._inner.arithmetic
         self.replay = validate_replay(replay)
         # Content-addressed memo of element replays: generation (= replay
-        # length) -> {(k, W, own_history, nbr_history): element state}.
-        # Keys are full message contents plus the globals the element
-        # machine was started with, so a hit is always semantically
-        # identical to a fresh replay; evicting never changes results,
-        # only wall-clock time.  Unused (None) in scratch mode.
-        self._memo = GenerationalMemo() if replay == REPLAY_INCREMENTAL else None
+        # length) -> {(k, W, smaller id, larger id): element state}.  The
+        # ids name the two full history contents and the globals are the
+        # ones the element machine was started with, so a hit is always
+        # semantically identical to a fresh replay; evicting never
+        # changes results, only wall-clock time.  The memo and the id
+        # table travel together (pickling included); both are None in
+        # scratch mode.
+        incremental = replay == REPLAY_INCREMENTAL
+        self._memo = GenerationalMemo() if incremental else None
+        self._ids = HistoryIds() if incremental else None
+        # Per-run H-side views, keyed by the identity of the run's shared
+        # globals mapping: one H-globals object per run also keeps the
+        # inner machine's schedule and zero caches (keyed the same way)
+        # hitting.
+        self._h_views = IdentityMemo()
 
     def with_replay(self, replay: str) -> "BroadcastVertexCoverMachine":
         validate_replay(replay)
@@ -115,26 +131,24 @@ class BroadcastVertexCoverMachine(Machine):
 
     # -- contexts for the simulated H-nodes ------------------------------
 
-    @staticmethod
-    def _h_globals(ctx: LocalContext) -> Dict[str, int]:
-        delta = ctx.require_global("delta")
-        return {"f": 2, "k": max(1, delta), "W": ctx.require_global("W")}
+    def _h_view(self, ctx: LocalContext) -> Tuple[Dict[str, int], LocalContext, int]:
+        """``(H-globals, element context, A-round count)`` of ``ctx``'s run."""
+        view = self._h_views.get(ctx.globals)
+        if view is None:
+            delta = ctx.require_global("delta")
+            g = {"f": 2, "k": max(1, delta), "W": ctx.require_global("W")}
+            ectx = LocalContext(degree=2, input={"role": "element"}, globals=g)
+            view = self._h_views.put(
+                ctx.globals, (g, ectx, fp_schedule_length(2, g["k"], g["W"]))
+            )
+        return view
 
     def _subset_ctx(self, ctx: LocalContext) -> LocalContext:
         return LocalContext(
             degree=ctx.degree,
             input={"role": "subset", "weight": ctx.input},
-            globals=self._h_globals(ctx),
+            globals=self._h_view(ctx)[0],
         )
-
-    def _element_ctx(self, ctx: LocalContext) -> LocalContext:
-        return LocalContext(
-            degree=2, input={"role": "element"}, globals=self._h_globals(ctx)
-        )
-
-    def _total_a_rounds(self, ctx: LocalContext) -> int:
-        g = self._h_globals(ctx)
-        return fp_schedule_length(g["f"], g["k"], g["W"])
 
     # -- lifecycle -------------------------------------------------------
 
@@ -146,7 +160,7 @@ class BroadcastVertexCoverMachine(Machine):
         return _BVCState(idx=0, history=(), subset_state=subset_state, incident=())
 
     def halted(self, ctx: LocalContext, state: _BVCState) -> bool:
-        return state.idx > self._total_a_rounds(ctx)
+        return state.idx > self._h_view(ctx)[2]
 
     def output(self, ctx: LocalContext, state: _BVCState) -> Dict[str, Any]:
         return {
@@ -167,7 +181,7 @@ class BroadcastVertexCoverMachine(Machine):
     def step(
         self, ctx: LocalContext, state: _BVCState, inbox: Sequence[Any]
     ) -> _BVCState:
-        total = self._total_a_rounds(ctx)
+        _, ectx, total = self._h_view(ctx)
         if state.idx > total:
             return state
         st = state.clone()
@@ -177,7 +191,6 @@ class BroadcastVertexCoverMachine(Machine):
             raise AssertionError(
                 f"expected {ctx.degree} neighbour histories, got {len(histories)}"
             )
-        ectx = self._element_ctx(ctx)
         sctx = self._subset_ctx(ctx)
 
         if t < total:
@@ -196,9 +209,11 @@ class BroadcastVertexCoverMachine(Machine):
                 sctx, st.subset_state, tuple(canonical_sorted(element_msgs))
             )
             new_history = st.history + (subset_msg,)
-            if self._memo is not None:
-                # Incremental mode: let metering/keying derive the new
-                # history's size/key from the old one in O(1).
+            if self._ids is not None:
+                # Incremental mode: derive the new history's replay id,
+                # metered size and canonical key from the old one's in
+                # O(1).
+                self._ids.extend(st.history, new_history)
                 note_extension(st.history, new_history)
             st.history = new_history
         else:
@@ -224,12 +239,16 @@ class BroadcastVertexCoverMachine(Machine):
 
         ``replay="scratch"``: the paper-literal loop — start the element
         machine fresh and step it through all ``rounds`` A-rounds.
-        ``replay="incremental"``: look up the previous generation's
-        state under the exact history contents and step only the one
-        new A-round, so repeated replays cost one step per G-round
-        instead of ``t`` steps at G-round ``t``.  Both paths produce
-        identical states (the memo key is the full input).
+        ``replay="incremental"``: reuse this generation's state if the
+        edge's other endpoint already replayed it; otherwise look up the
+        previous generation's state under the ids of the two histories'
+        parents and step only the one new A-round, so repeated replays
+        cost at most one step per edge per G-round instead of ``t``
+        steps per endpoint at G-round ``t``.  Both paths produce
+        identical states (an id names the full input).
         """
+        # Slicing a tuple to its own length returns the same object, so
+        # the histories keep the identity their ids are registered by.
         own = tuple(own_history[:rounds])
         nbr = tuple(nbr_history[:rounds])
         memo = self._memo
@@ -238,13 +257,24 @@ class BroadcastVertexCoverMachine(Machine):
         if memo is not None:
             # ectx.globals already are the H-globals (f, k, W); keying
             # on them keeps one machine instance safe to reuse across
-            # runs with different parameters.
+            # runs with different parameters.  The element's inbox is
+            # the sorted pair {own[τ], nbr[τ]}, so its state depends on
+            # the unordered pair of histories: keys put the smaller id
+            # first.
             g = ectx.globals
             kw = (g["k"], g["W"])
+            own_id, own_parent = self._ids.of(own)
+            nbr_id, nbr_parent = self._ids.of(nbr)
+            key = kw + (min(own_id, nbr_id), max(own_id, nbr_id))
+            est = memo.get(rounds, key)
+            if est is not None:
+                return est
             if rounds > 0:
-                prev = memo.get(rounds - 1, kw + (own[:-1], nbr[:-1]))
-                if prev is not None:
-                    est = prev
+                est = memo.get(
+                    rounds - 1,
+                    kw + (min(own_parent, nbr_parent), max(own_parent, nbr_parent)),
+                )
+                if est is not None:
                     start_tau = rounds - 1
         if est is None:
             est = self._inner.start(ectx)
@@ -252,5 +282,5 @@ class BroadcastVertexCoverMachine(Machine):
             inbox = tuple(canonical_sorted((own[tau], nbr[tau])))
             est = self._inner.step(ectx, est, inbox)
         if memo is not None:
-            memo.put(rounds, kw + (own, nbr), est)
+            memo.put(rounds, key, est)
         return est

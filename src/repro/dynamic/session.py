@@ -122,8 +122,10 @@ DYNAMIC_MODES = ("incremental", "scratch")
 #: restore` refuses snapshots from a different version rather than
 #: guessing (snapshots are durable state — they outlive the process
 #: and may outlive the code that wrote them).  Version 2: column-major
-#: state+message history for light-cone restarts (PR 9).
-SNAPSHOT_VERSION = 2
+#: state+message history for light-cone restarts.  Version 3: the
+#: Section 5 machine pickles a hash-consed history-id table next to
+#: its id-keyed replay memo.
+SNAPSHOT_VERSION = 3
 
 _INF = math.inf
 

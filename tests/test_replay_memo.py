@@ -21,7 +21,11 @@ Plus unit tests for the memo primitives themselves.
 
 from __future__ import annotations
 
+import pickle
 import random
+import sys
+import threading
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +35,7 @@ from repro._util.memo import (
     REPLAY_SCRATCH,
     FingerprintCache,
     GenerationalMemo,
+    HistoryIds,
     ReplayMemo,
     content_fingerprint,
     extension_parent,
@@ -73,28 +78,31 @@ _BVC_FAMILIES = {
 }
 
 
-def _bvc_pair(name, metering="bits", arithmetic="scaled", seed=None):
+def _bvc_run(name, machine, metering="bits", seed=None):
     make_graph, weights = _BVC_FAMILIES[name]
     g = make_graph()
     W = max(weights)
-    kwargs = dict(
+    return run(
+        g,
+        machine,
         inputs=list(weights),
         globals_map={"delta": g.max_degree, "W": W},
         max_rounds=bvc_round_count(g.max_degree, W),
         metering=metering,
         seed=seed,
     )
-    inc = run(
-        g,
-        BroadcastVertexCoverMachine(arithmetic=arithmetic, replay="incremental"),
-        **kwargs,
+
+
+def _bvc_pair(name, metering="bits", arithmetic="scaled", seed=None):
+    return tuple(
+        _bvc_run(
+            name,
+            BroadcastVertexCoverMachine(arithmetic=arithmetic, replay=mode),
+            metering=metering,
+            seed=seed,
+        )
+        for mode in (REPLAY_INCREMENTAL, REPLAY_SCRATCH)
     )
-    scr = run(
-        g,
-        BroadcastVertexCoverMachine(arithmetic=arithmetic, replay="scratch"),
-        **kwargs,
-    )
-    return inc, scr
 
 
 @pytest.mark.parametrize("name", sorted(_BVC_FAMILIES))
@@ -145,17 +153,36 @@ def test_bvc_cross_engine_cross_mode():
 
 def test_bvc_incremental_memo_actually_hits():
     """Guard against the incremental path silently degrading to scratch."""
-    make_graph, weights = _BVC_FAMILIES["cycle5"]
-    g = make_graph()
     machine = BroadcastVertexCoverMachine(replay="incremental")
-    run(
-        g,
-        machine,
-        inputs=list(weights),
-        globals_map={"delta": g.max_degree, "W": max(weights)},
-        max_rounds=bvc_round_count(g.max_degree, max(weights)),
-    )
+    _bvc_run("cycle5", machine)
     assert machine._memo.hits > machine._memo.misses
+
+
+def test_bvc_memo_keys_are_sorted_id_pairs():
+    """Replay keys are ``(k, W, smaller id, larger id)``: hashing one
+    costs O(1) however long the histories have grown, and both
+    endpoints of an edge share one key."""
+    machine = BroadcastVertexCoverMachine(replay="incremental")
+    _bvc_run("star3", machine)
+    keys = [key for bucket in machine._memo._buckets.values() for key in bucket]
+    assert keys
+    assert all(len(key) == 4 and all(type(x) is int for x in key) for key in keys)
+    assert all(key[2] <= key[3] for key in keys)
+
+
+def test_bvc_warm_machine_matches_fresh_machines():
+    """An incremental machine carried across instances (id table and
+    memo warm from earlier runs), and a pickled copy of it (memo keyed
+    on the original's ids, id table restarted above them), answer
+    exactly like fresh machines — which match scratch, per the tests
+    above."""
+    machine = BroadcastVertexCoverMachine(replay="incremental")
+    _bvc_run("cycle5", machine)
+    clone = pickle.loads(pickle.dumps(machine))
+    for name in ("cycle5", "path4", "star3", "cycle5"):
+        fresh = _bvc_run(name, BroadcastVertexCoverMachine(replay="incremental"))
+        assert_same_result(_bvc_run(name, machine), fresh)
+        assert_same_result(_bvc_run(name, clone), fresh)
 
 
 # ----------------------------------------------------------------------
@@ -374,6 +401,23 @@ def test_extension_metering_matches_full_scan():
         assert canonical_key(history) == canonical_key(twin)
 
 
+def test_extension_chains_share_equal_element_keys():
+    """Two histories grown apart from equal messages share their element
+    keys, so comparing them never re-compares equal values."""
+    chains = []
+    for _ in range(2):
+        history = ()
+        canonical_key(history)
+        for i in range(6):
+            new = history + ((Fraction(i, 7), ("x", i)),)
+            note_extension(history, new)
+            canonical_key(new)
+            history = new
+        chains.append(canonical_key(history)[1])
+    assert chains[0] == chains[1]
+    assert all(a is b for a, b in zip(*chains))
+
+
 def test_replay_memo_bounds_and_stats():
     memo = ReplayMemo(limit=4)
     assert memo.get("a") is None
@@ -395,6 +439,95 @@ def test_generational_memo_retires_stale_buckets():
     memo.put(5, "z", "s5")  # retires everything before generation 4
     assert memo.get(0, "x") is None
     assert memo.get(5, "z") == "s5"
+
+
+def _random_histories(seed, count, length, alphabet=3):
+    """``count`` histories over a tiny alphabet, so prefixes collide."""
+    rng = random.Random(seed)
+    return [
+        tuple(("m", rng.randrange(alphabet)) for _ in range(rng.randrange(length)))
+        for _ in range(count)
+    ]
+
+
+def test_history_ids_name_contents():
+    ids = HistoryIds()
+    assert ids.of(()) == (0, -1)
+    built = ()
+    for i in range(30):
+        child = built + (("m", i % 4),)
+        ids.extend(built, child)
+        # A content-equal tuple never registered: interned by content.
+        twin = tuple(list(child))
+        assert twin is not child
+        assert ids.of(child) == ids.of(twin)
+        assert ids.of(child)[1] == ids.of(built)[0]
+        built = child
+    seen = {}
+    for h in _random_histories(1, 300, 12):
+        hid = ids.of(h)[0]
+        assert seen.setdefault(hid, h) == h  # one id, one content
+    by_content = {}
+    for h in _random_histories(1, 300, 12):
+        assert by_content.setdefault(h, ids.of(h)) == ids.of(h)
+
+
+def test_history_ids_wrong_shape_extension_is_not_trusted():
+    ids = HistoryIds()
+    parent = (("a", 1),)
+    ids.extend((), parent)
+    bogus = parent + (("b", 2), ("c", 3))
+    ids.extend(parent, bogus)
+    assert ids.of(bogus) == ids.of(tuple(list(bogus)))
+
+
+def test_history_ids_never_reused_across_wipes():
+    """Wholesale wipes may give a content a second id, never an id a
+    second content — the soundness direction an id-keyed memo needs."""
+    ids = HistoryIds(limit=8)
+    owner = {}
+    for h in _random_histories(2, 500, 10):
+        hid, pid = ids.of(h)
+        assert owner.setdefault(hid, h) == h
+        if h:
+            assert owner.setdefault(pid, h[:-1]) == h[:-1]
+
+
+def test_history_ids_shared_between_threads():
+    """Threads interning overlapping histories into one small table
+    (so wipes race with inserts) never give one id two contents."""
+    ids = HistoryIds(limit=64)
+    results = [[] for _ in range(4)]
+
+    def work(slot):
+        for h in _random_histories(slot % 2, 300, 10):
+            results[slot].append((ids.of(h)[0], h))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(r) == 300 for r in results)
+    owner = {}
+    for hid, h in (entry for r in results for entry in r):
+        assert owner.setdefault(hid, h) == h
+
+
+def test_history_ids_pickled_copy_issues_fresh_ids():
+    ids = HistoryIds()
+    histories = _random_histories(3, 100, 8)
+    issued = {ids.of(h)[0] for h in histories}
+    clone = pickle.loads(pickle.dumps(ids))
+    fresh = {clone.of(h)[0] for h in histories if h}
+    assert not fresh & issued
+    assert clone.of(()) == (0, -1)
 
 
 def test_fingerprint_cache_identity_reuse():
