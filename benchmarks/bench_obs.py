@@ -17,9 +17,10 @@ cycle, metering off) and recorded in the ``obs`` section of
    microseconds the checks cost.)
 2. **Tracing on == tracing off, bit for bit.**  The traced run's
    ``RunResult`` agrees with the untraced run on all seven fields.
-3. **One merged trace.**  A sharded run (workers in separate
+3. **One merged trace.**  A process-backend sweep (workers in separate
    processes) yields a single trace containing worker-side ``round``
-   spans under shard lanes.
+   spans under pool-worker lanes, and every pooled result equals the
+   untraced serial run.
 
 Usage::
 
@@ -48,8 +49,7 @@ from repro.core.edge_packing import edge_packing_job  # noqa: E402
 from repro.graphs import families  # noqa: E402
 from repro.graphs.weights import unit_weights  # noqa: E402
 from repro.obs import SPAN_ROUND  # noqa: E402
-from repro.simulator import sharding  # noqa: E402
-from repro.simulator.runtime import run  # noqa: E402
+from repro.simulator.runtime import run, sweep  # noqa: E402
 
 BASELINE = Path(__file__).with_name("BENCH_perf.json")
 
@@ -109,11 +109,9 @@ def host_record():
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=8192,
-                        help="cycle size (default 8192, engages sharding)")
+                        help="cycle size (default 8192)")
     parser.add_argument("--repeats", type=int, default=5,
                         help="best-of repeats per timing (default 5)")
-    parser.add_argument("--shards", type=int, default=2,
-                        help="shard count for the merged-trace gate")
     parser.add_argument("--update", action="store_true",
                         help="write the obs section of BENCH_perf.json")
     args = parser.parse_args(argv)
@@ -147,39 +145,35 @@ def main(argv=None) -> int:
     )
     print("disabled-overhead gate (<=5%): PASS")
 
-    # Gate 3: sharded run -> one merged trace with worker round spans.
-    assert args.n >= sharding.MIN_SHARD_NODES, (
-        f"n={args.n} is below MIN_SHARD_NODES={sharding.MIN_SHARD_NODES}; "
-        f"the merged-trace gate needs sharding to engage"
-    )
-    shard_tracer = obs.Tracer("bench_obs sharded")
-    with obs.tracing(shard_tracer):
-        sharded = run(graph, machine, shards=args.shards, **job)
-    decision = sharding.last_shard_decision()
-    assert decision is not None and decision.engaged, (
-        f"sharding did not engage: {decision}"
-    )
-    for field in RUN_RESULT_FIELDS:
-        assert getattr(base, field) == getattr(sharded, field), (
-            f"sharded traced run differs on RunResult.{field}"
-        )
-    data = shard_tracer.chrome()
+    # Gate 3: process-backend sweep -> one merged trace with worker
+    # round spans on pool-worker lanes.
+    jobs = [dict(job, graph=graph, machine=machine)] * 2
+    pool_tracer = obs.Tracer("bench_obs pool")
+    with obs.tracing(pool_tracer):
+        pooled = sweep(jobs, n_workers=2, backend="process")
+    assert pooled.failure_report.backend == "process", pooled.failure_report
+    for result in pooled:
+        for field in RUN_RESULT_FIELDS:
+            assert getattr(base, field) == getattr(result, field), (
+                f"pooled traced run differs on RunResult.{field}"
+            )
+    data = pool_tracer.chrome()
     lanes = {
         e["pid"]: e["args"]["name"]
         for e in data["traceEvents"]
         if e.get("ph") == "M" and e["name"] == "process_name"
     }
-    shard_lanes = {p for p, name in lanes.items() if name.startswith("shard ")}
+    pool_lanes = {
+        p for p, name in lanes.items() if name.startswith("pool worker")
+    }
     worker_rounds = sum(
         1
         for e in data["traceEvents"]
-        if e["name"] == SPAN_ROUND and e.get("pid") in shard_lanes
+        if e["name"] == SPAN_ROUND and e.get("pid") in pool_lanes
     )
-    assert len(shard_lanes) == args.shards, (
-        f"expected {args.shards} shard lanes, got {sorted(lanes.values())}"
-    )
+    assert pool_lanes, f"no pool-worker lanes, got {sorted(lanes.values())}"
     assert worker_rounds > 0, "no worker-side round spans in merged trace"
-    print(f"merged-trace gate ({len(shard_lanes)} shard lanes, "
+    print(f"merged-trace gate ({len(pool_lanes)} pool-worker lanes, "
           f"{worker_rounds} worker round spans): PASS")
 
     record = {
@@ -191,8 +185,8 @@ def main(argv=None) -> int:
         "disabled_overhead_s": round(overhead_s, 6),
         "disabled_overhead_pct": round(ratio * 100, 4),
         "traced_equals_untraced_all_fields": True,
-        "sharded_trace_worker_round_spans": worker_rounds,
-        "sharded_trace_lanes": len(shard_lanes),
+        "pool_trace_worker_round_spans": worker_rounds,
+        "pool_trace_lanes": len(pool_lanes),
         "host": host_record(),
     }
     print(json.dumps({"obs": record}, indent=2))

@@ -47,7 +47,7 @@ DEFAULT_THRESHOLD = 1.25
 # check skips them whether present or missing, update preserves them.
 AUX_SECTIONS = (
     "sweep_scaling", "bvc_replay", "selfstab", "dynamic",
-    "dynamic_snapshot", "columnar", "shards", "serving", "obs",
+    "dynamic_snapshot", "columnar", "serving", "obs",
 )
 
 # (numerator benchmark or seed entry, denominator benchmark) pairs the

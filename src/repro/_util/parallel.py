@@ -28,8 +28,10 @@ executor:
 Process pools are *warm*: one pool per distinct worker count is kept
 alive for the life of the interpreter (shut down atexit), so a whole
 experiment table of ``sweep`` calls amortises a single pool start-up.
-Jobs are chunked (``chunksize``, default ``len(jobs)/(4·workers)``,
-at least 1) so per-task IPC is amortised across a chunk of instances.
+The serving host's single-worker pools (:func:`serve_pool`) live in
+the same registry.  Jobs are chunked (``chunksize``, default
+``len(jobs)/(4·workers)``, at least 1) so per-task IPC is amortised
+across a chunk of instances.
 
 **Crash recovery.**  A worker that dies (OOM-kill, segfault, SIGKILL)
 poisons its whole :class:`ProcessPoolExecutor`; every pending future
@@ -83,9 +85,7 @@ __all__ = [
     "map_jobs",
     "resolve_backend",
     "retire_serve_pools",
-    "retire_shard_pools",
     "serve_pool",
-    "shard_pool",
     "shutdown_pools",
 ]
 
@@ -104,28 +104,20 @@ _MAX_POOL_FAILURES = 5
 _BACKOFF_BASE_S = 0.05
 _BACKOFF_CAP_S = 1.0
 
-# Warm process pools, one per worker count; kept for the interpreter's
-# lifetime so repeated map_jobs calls (a whole experiment table) pay
-# pool start-up once.  Threads pools are cheap and stay per-call.
-_PROCESS_POOLS: Dict[int, ProcessPoolExecutor] = {}
-
-# Warm single-worker pools, one per shard index.  The sharded engine
-# (:mod:`repro.simulator.sharding`) keeps per-shard graph slices and
-# node states *resident in the worker* between rounds, so each shard
-# needs process affinity: every submission for shard i must land on the
-# same worker.  A plain ``_process_pool(p)`` cannot promise that, so
-# shards get dedicated max_workers=1 pools, warm across runs like the
-# chunked pools above and shut down with them atexit.
-_SHARD_POOLS: Dict[int, ProcessPoolExecutor] = {}
-
-# Warm single-worker pools for the dynamic serving host
-# (:mod:`repro.dynamic.serving`).  Same affinity story as the shard
-# pools — a serving worker keeps its assigned DynamicRun sessions
-# resident between batches, so every batch for a session must land on
-# the same process — but an independent lifecycle: a serving-worker
-# crash retires only the serving fleet, never a concurrent sharded run
-# (and vice versa).
-_SERVE_POOLS: Dict[int, ProcessPoolExecutor] = {}
+# Warm process pools, kept for the interpreter's lifetime so repeated
+# calls (a whole experiment table, a serving host's batches) pay pool
+# start-up once; shut down atexit.  Thread pools are cheap and stay
+# per-call.  Keys name what a pool is for:
+#
+# * ``("map", n)`` — the n-worker pool behind map_jobs;
+# * ``("serve", i)`` — serving worker i's single-worker pool
+#   (:mod:`repro.dynamic.serving`).  A serving worker keeps its
+#   DynamicRun sessions resident between batches, so every batch for a
+#   session must land on the same process.
+#
+# Each key is retired on its own: a broken pool never takes down the
+# warm pools under other keys.
+_POOLS: Dict[Tuple[str, int], ProcessPoolExecutor] = {}
 
 
 @dataclass(frozen=True)
@@ -206,40 +198,36 @@ class JobResults(List[Any]):
         return JobResults(list(other) + list(self), self.failure_report)
 
 
-def shutdown_pools() -> None:
-    """Shut down every warm process pool (idempotent; runs atexit)."""
-    while _PROCESS_POOLS:
-        _, pool = _PROCESS_POOLS.popitem()
-        pool.shutdown(wait=False, cancel_futures=True)
-    retire_shard_pools()
-    retire_serve_pools()
-
-
-def shard_pool(index: int) -> ProcessPoolExecutor:
-    """The persistent single-worker pool dedicated to shard ``index``.
-
-    Created on first use, then warm for the interpreter's lifetime: a
-    sweep of sharded runs pays worker start-up once per shard, and the
-    worker-resident shard sessions (see
-    :mod:`repro.simulator.sharding`) always find their process again.
-    """
-    pool = _SHARD_POOLS.get(index)
+def _pool(key: Tuple[str, int], max_workers: int) -> ProcessPoolExecutor:
+    """The warm pool registered under ``key``, created on first use."""
+    pool = _POOLS.get(key)
     if pool is None:
-        pool = _SHARD_POOLS[index] = ProcessPoolExecutor(max_workers=1)
+        pool = _POOLS[key] = ProcessPoolExecutor(max_workers=max_workers)
     return pool
 
 
-def retire_shard_pools() -> None:
-    """Shut down every shard pool (idempotent).
+def _retire(
+    key: Tuple[str, int], pool: Optional[ProcessPoolExecutor] = None
+) -> None:
+    """Shut down the pool under ``key`` so the next use starts fresh.
 
-    Crash recovery for the sharded engine: a worker death poisons its
-    pool *and* strands the sibling shards' sessions mid-round, so the
-    whole shard fleet is retired together and the next sharded run
-    starts on fresh workers.
+    Idempotent.  Given ``pool`` (a broken pool a caller was using), it
+    is shut down and unregistered only while ``key`` still maps to it.
     """
-    while _SHARD_POOLS:
-        _, pool = _SHARD_POOLS.popitem()
-        pool.shutdown(wait=False, cancel_futures=True)
+    registered = _POOLS.get(key)
+    if pool is None:
+        pool = registered
+    if pool is None:
+        return
+    if registered is pool:
+        del _POOLS[key]
+    pool.shutdown(wait=False, cancel_futures=True)
+
+
+def shutdown_pools() -> None:
+    """Shut down every warm process pool (idempotent; runs atexit)."""
+    for key in list(_POOLS):
+        _retire(key)
 
 
 def serve_pool(index: int) -> ProcessPoolExecutor:
@@ -250,10 +238,7 @@ def serve_pool(index: int) -> ProcessPoolExecutor:
     process again, and successive :class:`~repro.dynamic.serving.
     ServingHost` instances reuse the same warm fleet.
     """
-    pool = _SERVE_POOLS.get(index)
-    if pool is None:
-        pool = _SERVE_POOLS[index] = ProcessPoolExecutor(max_workers=1)
-    return pool
+    return _pool(("serve", index), 1)
 
 
 def retire_serve_pools(index: Optional[int] = None) -> None:
@@ -262,41 +247,16 @@ def retire_serve_pools(index: Optional[int] = None) -> None:
     Crash recovery for the serving host: a dead worker strands its
     resident sessions, so the host retires that worker's pool and
     replays each stranded session from its last checkpoint onto a
-    fresh one.  Unlike the shard fleet, serving workers are mutually
-    independent — pass ``index`` to retire just the broken one;
-    ``None`` retires them all (atexit / host shutdown).
+    fresh one.  Serving workers are mutually independent — pass
+    ``index`` to retire just the broken one; ``None`` retires them all
+    (atexit / host shutdown).
     """
-    if index is not None:
-        pool = _SERVE_POOLS.pop(index, None)
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return
-    while _SERVE_POOLS:
-        _, pool = _SERVE_POOLS.popitem()
-        pool.shutdown(wait=False, cancel_futures=True)
+    for key in list(_POOLS):
+        if key[0] == "serve" and index in (None, key[1]):
+            _retire(key)
 
 
 atexit.register(shutdown_pools)
-
-
-def _process_pool(n_workers: int) -> ProcessPoolExecutor:
-    pool = _PROCESS_POOLS.get(n_workers)
-    if pool is None:
-        pool = _PROCESS_POOLS[n_workers] = ProcessPoolExecutor(
-            max_workers=n_workers
-        )
-    return pool
-
-
-def _retire_pool(n_workers: int, pool: ProcessPoolExecutor) -> None:
-    """Drop a broken pool so the next call starts fresh.
-
-    Idempotent, and scoped to the one worker count that broke: healthy
-    warm pools for *other* counts deliberately stay alive.
-    """
-    if _PROCESS_POOLS.get(n_workers) is pool:
-        del _PROCESS_POOLS[n_workers]
-    pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _run_chunk(fn: Callable[[Any], Any], chunk: List[Any]) -> List[Any]:
@@ -400,7 +360,7 @@ def _map_process(
             pending = []
             break
 
-        pool = _process_pool(n_workers)
+        pool = _pool(("map", n_workers), n_workers)
         futures: Dict[int, Any] = {}
         for ci in pending:
             try:
@@ -435,7 +395,9 @@ def _map_process(
         pool_failures += 1
         if tr is not None:
             tr.count(CTR_POOL_RESTARTS)
-        _retire_pool(n_workers, pool)
+        # Only this worker count's pool: warm pools under other keys
+        # deliberately stay alive.
+        _retire(("map", n_workers), pool)
         err_text = repr(err) if err is not None else "BrokenProcessPool"
         next_pending: List[int] = []
         backoff = 0.0

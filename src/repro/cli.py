@@ -127,11 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "('columnar' vectorises Phase I; results bit-identical)",
     )
     vc.add_argument(
-        "--shards", type=int, default=1,
-        help="partition the run across worker processes (port algorithm "
-        "only; results bit-identical; small graphs fall back to serial)",
-    )
-    vc.add_argument(
         "--replay",
         choices=list(REPLAY_MODES),
         default="incremental",
@@ -200,11 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="object",
         help="runtime execution substrate for --algorithm port "
         "('columnar' vectorises Phase I; results bit-identical)",
-    )
-    sw.add_argument(
-        "--shards", type=int, default=1,
-        help="partition each run across worker processes (port algorithm "
-        "only; results bit-identical; small graphs fall back to serial)",
     )
     sw.add_argument(
         "--replay",
@@ -434,9 +424,7 @@ def _run_vc(args) -> dict:
     if args.fault != "none":
         return _run_vc_faulty(args, graph, weights)
     if args.algorithm == "port":
-        result = vertex_cover_2approx(
-            graph, weights, engine=args.engine, shards=args.shards
-        )
+        result = vertex_cover_2approx(graph, weights, engine=args.engine)
     else:
         result = vertex_cover_broadcast(graph, weights, replay=args.replay)
     payload = {
@@ -510,7 +498,7 @@ def _run_sweep(args) -> dict:
                 jobs.append(
                     edge_packing_job(
                         graph, weights, metering=args.metering,
-                        engine=args.engine, shards=args.shards,
+                        engine=args.engine,
                     )
                 )
             else:
@@ -555,14 +543,11 @@ def _run_sweep(args) -> dict:
         "family": args.family,
         "metering": args.metering,
         "engine": args.engine if args.algorithm == "port" else None,
-        "shards": args.shards if args.algorithm == "port" else None,
         "replay": args.replay if args.algorithm == "broadcast" else None,
         "workers": args.workers,
-        "backend": (
-            "serial"
-            if not args.workers or args.workers <= 1
-            else args.backend or "thread"
-        ),
+        # What map_jobs actually ran: it goes serial for a single job
+        # and resolves "auto", so the flags alone can misreport it.
+        "backend": results.failure_report.backend,
         "wall_seconds": elapsed,
         "runs": records,
     }

@@ -1271,17 +1271,14 @@ def edge_packing_job(
     metering: Any = "bits",
     arithmetic: str = "scaled",
     engine: str = "object",
-    shards: int = 1,
 ) -> Dict[str, Any]:
     """A validated :func:`repro.simulator.runtime.run` kwargs mapping.
 
     Suitable as a :func:`repro.simulator.runtime.sweep` instance;
     assemble the resulting :class:`RunResult` with
     :func:`edge_packing_from_run`.  ``engine`` selects the execution
-    substrate (see :data:`repro.simulator.runtime.ENGINES`) and
-    ``shards`` the intra-run partition width (see
-    :mod:`repro.simulator.sharding`); results are bit-for-bit
-    identical across engines and shard counts.
+    substrate (see :data:`repro.simulator.runtime.ENGINES`); results
+    are bit-for-bit identical across engines.
     """
     weights = tuple(int(w) for w in weights)
     if delta is None:
@@ -1302,9 +1299,6 @@ def edge_packing_job(
         # Included only when non-default, so the mapping stays a valid
         # run_reference() kwargs set for the default configuration.
         job["engine"] = engine
-    if shards != 1:
-        # Same rule: run_reference() takes no shards kwarg.
-        job["shards"] = shards
     return job
 
 
@@ -1359,7 +1353,6 @@ def maximal_edge_packing(
     metering: Any = "bits",
     arithmetic: str = "scaled",
     engine: str = "object",
-    shards: int = 1,
 ) -> EdgePackingResult:
     """Run the Section 3 algorithm and assemble the packing.
 
@@ -1371,9 +1364,7 @@ def maximal_edge_packing(
     large perf runs where only the packing matters.  ``arithmetic``
     selects the machine's exact number representation (see
     :class:`EdgePackingMachine`); ``engine`` the execution substrate
-    (see :data:`repro.simulator.runtime.ENGINES`); ``shards`` the
-    intra-run partition width (see :mod:`repro.simulator.sharding`,
-    bit-for-bit identical across counts).  A ``max_rounds``
+    (see :data:`repro.simulator.runtime.ENGINES`).  A ``max_rounds``
     too small for the schedule fails loudly with
     :class:`~repro.simulator.runtime.MaxRoundsExceeded` (round count
     and non-halted node ids) — never a partial packing.
@@ -1381,7 +1372,6 @@ def maximal_edge_packing(
     job = edge_packing_job(
         graph, weights, delta=delta, W=W, max_rounds=max_rounds,
         metering=metering, arithmetic=arithmetic, engine=engine,
-        shards=shards,
     )
     job.pop("graph")
     machine = job.pop("machine")

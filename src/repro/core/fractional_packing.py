@@ -516,21 +516,14 @@ def maximal_fractional_packing(
     instance: SetCoverInstance,
     max_rounds: Optional[int] = None,
     arithmetic: str = "scaled",
-    shards: int = 1,
 ) -> FractionalPackingResult:
-    """Run the Section 4 algorithm on a set cover instance.
-
-    ``shards`` partitions the bipartite simulation graph across worker
-    processes (see :mod:`repro.simulator.sharding`); results are
-    bit-for-bit identical across shard counts.
-    """
+    """Run the Section 4 algorithm on a set cover instance."""
     machine = FractionalPackingMachine(arithmetic=arithmetic)
     needed = fp_schedule_length(instance.f, instance.k, instance.W)
     result = run_on_setcover(
         instance,
         machine,
         max_rounds=needed if max_rounds is None else max_rounds,
-        shards=shards,
     )
     if not result.all_halted:
         raise RuntimeError(

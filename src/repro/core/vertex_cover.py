@@ -73,18 +73,16 @@ def vertex_cover_2approx(
     W: Optional[int] = None,
     arithmetic: str = "scaled",
     engine: str = "object",
-    shards: int = 1,
 ) -> VertexCoverResult:
     """Section 3: 2-approximate weighted VC in the port-numbering model.
 
     ``engine`` selects the runtime's execution substrate (see
-    :data:`repro.simulator.runtime.ENGINES`) and ``shards`` the
-    intra-run partition width (see :mod:`repro.simulator.sharding`);
-    results are bit-for-bit identical across engines and shard counts.
+    :data:`repro.simulator.runtime.ENGINES`); results are bit-for-bit
+    identical across engines.
     """
     packing: EdgePackingResult = maximal_edge_packing(
         graph, weights, delta=delta, W=W, arithmetic=arithmetic,
-        engine=engine, shards=shards,
+        engine=engine,
     )
     return VertexCoverResult(
         graph=graph,

@@ -328,7 +328,7 @@ class ServingHost:
         for sid, edits in items:
             slot = self._slot(sid)
             futures.append(
-                (sid, edits, self._pool(slot.worker).submit(
+                (sid, edits, serve_pool(slot.worker).submit(
                     w_apply, self._key(sid), edits
                 ))
             )
@@ -393,16 +393,13 @@ class ServingHost:
 
     # -- worker plumbing -------------------------------------------------
 
-    def _pool(self, worker: int):
-        return serve_pool(worker)
-
     def _submit(self, worker: int, fn: Any, *args: Any) -> Any:
         """Submit with one recover-and-retry on a dead worker."""
         try:
-            return self._pool(worker).submit(fn, *args).result()
+            return serve_pool(worker).submit(fn, *args).result()
         except BrokenProcessPool:
             self._recover_worker(worker)
-            return self._pool(worker).submit(fn, *args).result()
+            return serve_pool(worker).submit(fn, *args).result()
 
     def _submit_apply(
         self, session_id: str, slot: _Slot, edits: List[GraphEdit]
@@ -411,7 +408,7 @@ class ServingHost:
         w_apply = _w_apply if tr is None else _w_apply_traced
         try:
             value = (
-                self._pool(slot.worker)
+                serve_pool(slot.worker)
                 .submit(w_apply, self._key(session_id), edits)
                 .result()
             )
@@ -420,7 +417,7 @@ class ServingHost:
             # died holding it); recover the fleet slice and retry once.
             self._recover_worker(slot.worker)
             value = (
-                self._pool(slot.worker)
+                serve_pool(slot.worker)
                 .submit(w_apply, self._key(session_id), edits)
                 .result()
             )
@@ -435,7 +432,7 @@ class ServingHost:
         self._recoveries += 1
         self._counters[CTR_SERVING_RECOVERIES] += 1
         tr = obs.current()
-        pool = self._pool(worker)  # fresh single-worker pool
+        pool = serve_pool(worker)  # fresh single-worker pool
         recovered = 0
         for sid, slot in self._slots.items():
             if slot.worker != worker:

@@ -1,18 +1,18 @@
 """Unified observability: spans, typed events, counters, Chrome export.
 
 Every execution substrate in this tree — the object and columnar
-engines, the sharded intra-run fleet, the crash-recovering process
-pools, the dynamic incremental sessions and the multiplexed serving
-host — previously explained itself through scattered ad-hoc artifacts
-(``sharding.LAST_DECISION``, memo hit counters, ``BatchStats``,
-``FailureReport``).  This package gives them one vocabulary:
+engines, the crash-recovering process pools, the dynamic incremental
+sessions and the multiplexed serving host — previously explained
+itself through scattered ad-hoc artifacts (memo hit counters,
+``BatchStats``, ``FailureReport``).  This package gives them one
+vocabulary:
 
 * a **span** API (``run`` → ``round`` → phase) recording wall-clock
   intervals,
 * **typed structured events** (engine selection and every fallback
-  reason, shard boundary-exchange sizes, pool retries, memo hit/miss,
-  dynamic batch light-cone stats, serving checkpoint/recovery/replay,
-  injected faults — see :mod:`repro.obs.events` for the taxonomy),
+  reason, pool retries, memo hit/miss, dynamic batch light-cone
+  stats, serving checkpoint/recovery/replay, injected faults — see
+  :mod:`repro.obs.events` for the taxonomy),
 * **counter/histogram registries**, and
 * an exporter producing Chrome trace-event JSON (loadable in Perfetto
   / ``chrome://tracing``) plus a human ``summarize`` view.
@@ -27,11 +27,11 @@ The contract every consumer relies on:
   and appends to its own buffers — it never touches RNG, metering or
   scheduling, so tracing on ≡ tracing off bit-for-bit on every
   ``RunResult`` field (pinned by ``tests/test_obs.py``).
-* **One merged trace per run.**  Worker processes (shard sessions,
-  process-pool chunks) buffer their spans locally and ship them back
-  with their results; the parent tracer absorbs them under distinct
-  pid lanes, so a sharded or process-backend run still produces a
-  single loadable trace.
+* **One merged trace per run.**  Worker processes (process-pool
+  chunks, serving workers) buffer their spans locally and ship them
+  back with their results; the parent tracer absorbs them under
+  distinct pid lanes, so a process-backend sweep or a pooled serving
+  host still produces a single loadable trace.
 
 Install a tracer for a region with :func:`tracing`::
 
@@ -39,7 +39,7 @@ Install a tracer for a region with :func:`tracing`::
 
     tracer = obs.Tracer()
     with obs.tracing(tracer):
-        result = run(graph, machine, shards=4)
+        result = run(graph, machine)
     tracer.dump("out.json")          # Chrome trace-event JSON
     print(tracer.summarize())        # human view
 
@@ -64,8 +64,6 @@ from repro.obs.events import (
     EV_SERVING_CHECKPOINT,
     EV_SERVING_RECOVERY,
     EV_SERVING_REPLAY,
-    EV_SHARD_BOUNDARY,
-    EV_SHARD_DECISION,
     EVENT_NAMES,
     SPAN_BATCH,
     SPAN_NAMES,
@@ -102,8 +100,6 @@ __all__ = [
     "EV_SERVING_CHECKPOINT",
     "EV_SERVING_RECOVERY",
     "EV_SERVING_REPLAY",
-    "EV_SHARD_BOUNDARY",
-    "EV_SHARD_DECISION",
     "SPAN_BATCH",
     "SPAN_PHASE",
     "SPAN_ROUND",

@@ -11,25 +11,19 @@ Spans (wall-clock intervals, nesting run → round → phase)
 ---------------------------------------------------------
 * :data:`SPAN_RUN` — one :func:`repro.simulator.runtime.run` call.
 * :data:`SPAN_ROUND` — one synchronous communication round, in any
-  engine (object, columnar, reference, shard-worker side).
+  engine (object, columnar, reference).
 * :data:`SPAN_PHASE` — a named sub-interval of a run (the columnar
-  leading rounds, a shard op, a serving wave).
+  leading rounds, a serving wave).
 * :data:`SPAN_BATCH` — one :meth:`repro.dynamic.session.DynamicRun.
   apply` batch (dynamic sessions and the serving host).
 
 Typed events (instants with structured args)
 --------------------------------------------
 * :data:`EV_ENGINE_SELECTED` — which execution substrate a run
-  actually used (``engine``, ``shards``, ``n``).
+  actually used (``engine``, ``n``, ``rounds``).
 * :data:`EV_ENGINE_FALLBACK` — a substrate that could not engage and
-  why (``wanted``, ``reason``) — emitted for every columnar and
-  sharded fallback cause.
-* :data:`EV_SHARD_DECISION` — the sharded engine's engage/fallback
-  decision (``engaged``, ``shards``, ``reason``); the accessor
-  :func:`repro.simulator.sharding.last_shard_decision` is backed by
-  the same record.
-* :data:`EV_SHARD_BOUNDARY` — per-round boundary exchange size
-  (``round``, ``messages``, ``chunks``).
+  why (``wanted``, ``reason``) — emitted for every columnar fallback
+  cause.
 * :data:`EV_POOL_RETRY` — one process-pool degradation-ladder action
   (``chunk``, ``attempt``, ``action``, ``backoff_s``).
 * :data:`EV_DYNAMIC_BATCH` — one dynamic batch's repair accounting,
@@ -61,8 +55,6 @@ __all__ = [
     "SPAN_NAMES",
     "EV_ENGINE_SELECTED",
     "EV_ENGINE_FALLBACK",
-    "EV_SHARD_DECISION",
-    "EV_SHARD_BOUNDARY",
     "EV_POOL_RETRY",
     "EV_DYNAMIC_BATCH",
     "EV_SERVING_CHECKPOINT",
@@ -90,8 +82,6 @@ SPAN_NAMES = (SPAN_RUN, SPAN_ROUND, SPAN_PHASE, SPAN_BATCH)
 
 EV_ENGINE_SELECTED = "engine.selected"
 EV_ENGINE_FALLBACK = "engine.fallback"
-EV_SHARD_DECISION = "shard.decision"
-EV_SHARD_BOUNDARY = "shard.boundary"
 EV_POOL_RETRY = "pool.retry"
 EV_DYNAMIC_BATCH = "dynamic.batch"
 EV_SERVING_CHECKPOINT = "serving.checkpoint"
@@ -103,8 +93,6 @@ EV_FAULT_INJECTED = "fault.injected"
 EVENT_NAMES = (
     EV_ENGINE_SELECTED,
     EV_ENGINE_FALLBACK,
-    EV_SHARD_DECISION,
-    EV_SHARD_BOUNDARY,
     EV_POOL_RETRY,
     EV_DYNAMIC_BATCH,
     EV_SERVING_CHECKPOINT,

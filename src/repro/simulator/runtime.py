@@ -268,7 +268,6 @@ def run(
     metering: Union[Metering, str, None] = Metering.BITS,
     replay: Optional[str] = None,
     engine: str = "object",
-    shards: int = 1,
     on_max_rounds: str = "return",
 ) -> RunResult:
     """Run ``machine`` on every node of ``graph`` until all halt.
@@ -295,17 +294,6 @@ def run(
     ``int64`` grid — fall back to ``"object"`` automatically.  Results
     are bit-for-bit identical across engines
     (``tests/test_columnar_engine.py``).
-
-    ``shards`` > 1 partitions the graph's nodes across that many worker
-    processes by deterministic hashed ownership and executes the round
-    loop with per-round boundary-message exchange — one big run across
-    many cores (see :mod:`repro.simulator.sharding`).  Runs that cannot
-    engage — an observer attached, a fault adversary that is not
-    ``process_safe``, graphs below the size floor, nested inside a
-    worker process — fall back to ``shards=1`` automatically, and the
-    sharded path takes precedence over ``engine="columnar"`` when both
-    apply.  Results are bit-for-bit identical across shard counts
-    (``tests/test_shard_differential.py``).
 
     ``on_max_rounds`` controls what happens when ``max_rounds`` runs
     out with nodes still live: ``"return"`` (default, the historical
@@ -336,8 +324,6 @@ def run(
             f"on_max_rounds must be one of {ON_MAX_ROUNDS}, "
             f"got {on_max_rounds!r}"
         )
-    if not isinstance(shards, int) or shards < 1:
-        raise ValueError(f"shards must be a positive int, got {shards!r}")
     meter = Metering.of(metering)
     if replay is not None:
         machine = machine.with_replay(replay)
@@ -349,67 +335,42 @@ def run(
         raise ValueError(f"unknown model {machine.model!r}")
 
     result: Optional[RunResult] = None
-    ctxs: Optional[List[LocalContext]] = None
     tr = obs.current()
     run_t0 = tr.now() if tr is not None else 0.0
     engine_used = "object"
-    if shards > 1:
-        # Contexts are built lazily: an engaged shard run constructs
-        # its own contexts worker-side and must not pay for a parent
-        # copy it never reads.
-        from repro.simulator import sharding
-
-        result = sharding.run_sharded(
-            graph, machine, inputs=inputs, globals_map=globals_map,
-            max_rounds=max_rounds, seed=seed, observer=observer,
-            fault_adversary=fault_adversary, meter=meter, shards=shards,
-        )
+    ctxs = _make_contexts(graph, inputs, globals_map, seed)
+    if (
+        engine == "columnar"
+        and machine.model == PORT_NUMBERING
+        and observer is None
+        and fault_adversary is None
+    ):
+        result = _run_columnar_port(graph, machine, ctxs, max_rounds, meter)
         if result is not None:
-            engine_used = "sharded"
-        elif tr is not None:
-            decision = sharding.last_shard_decision()
-            tr.event(
-                EV_ENGINE_FALLBACK,
-                wanted="sharded",
-                reason=decision.reason if decision is not None else None,
-            )
+            engine_used = "columnar"
+    elif engine == "columnar" and tr is not None:
+        tr.event(
+            EV_ENGINE_FALLBACK,
+            wanted="columnar",
+            reason="columnar engine needs the port-numbering model "
+                   "with no observer or fault adversary",
+        )
     if result is None:
-        ctxs = _make_contexts(graph, inputs, globals_map, seed)
-        if (
-            engine == "columnar"
-            and machine.model == PORT_NUMBERING
-            and observer is None
-            and fault_adversary is None
-        ):
-            result = _run_columnar_port(graph, machine, ctxs, max_rounds, meter)
-            if result is not None:
-                engine_used = "columnar"
-        elif engine == "columnar" and tr is not None:
-            tr.event(
-                EV_ENGINE_FALLBACK,
-                wanted="columnar",
-                reason="columnar engine needs the port-numbering model "
-                       "with no observer or fault adversary",
-            )
-        if result is None:
-            states: List[Any] = [machine.start(ctxs[v]) for v in graph.nodes()]
-            halted: List[bool] = [
-                machine.halted(ctxs[v], states[v]) for v in graph.nodes()
-            ]
-            result = engine_fn(
-                graph, machine, ctxs, states, halted,
-                max_rounds, observer, fault_adversary, meter,
-            )
+        states: List[Any] = [machine.start(ctxs[v]) for v in graph.nodes()]
+        halted: List[bool] = [
+            machine.halted(ctxs[v], states[v]) for v in graph.nodes()
+        ]
+        result = engine_fn(
+            graph, machine, ctxs, states, halted,
+            max_rounds, observer, fault_adversary, meter,
+        )
     if tr is not None:
         tr.event(
             EV_ENGINE_SELECTED,
-            engine=engine_used, shards=shards, n=graph.n,
-            rounds=result.rounds,
+            engine=engine_used, n=graph.n, rounds=result.rounds,
         )
         tr.complete(SPAN_RUN, run_t0, engine=engine_used, n=graph.n)
     if not result.all_halted and on_max_rounds == "raise":
-        if ctxs is None:
-            ctxs = _make_contexts(graph, inputs, globals_map, seed)
         raise MaxRoundsExceeded(
             rounds=result.rounds,
             non_halted=[
@@ -1134,7 +1095,7 @@ def run_reference(
     if tr is not None:
         tr.event(
             EV_ENGINE_SELECTED,
-            engine="reference", shards=1, n=graph.n, rounds=rounds,
+            engine="reference", n=graph.n, rounds=rounds,
         )
         tr.complete(SPAN_RUN, run_t0, engine="reference", n=graph.n)
     if not all(halted) and on_max_rounds == "raise":

@@ -1,11 +1,10 @@
 """Shared test helpers: the bit-for-bit RunResult equivalence contract.
 
 Every alternative execution path in the runtime — the columnar engine,
-the dynamic incremental mode, crash-recovering pools, and the sharded
-intra-run engine — promises results *field-for-field identical* to the
-plain serial object engine.  The assertions here are that contract's
-single point of truth; the suites import them instead of re-listing the
-seven RunResult fields.
+the dynamic incremental mode and the crash-recovering pools — promises
+results *field-for-field identical* to the plain serial object engine.
+The assertions here are that contract's single point of truth; the
+suites import them instead of re-listing the seven RunResult fields.
 
 On mismatch the error names the first differing field and the node (or
 round, for ``per_round_bits``) where the divergence starts, mirroring

@@ -164,8 +164,10 @@ class TestWorkerKillRecovery:
         pools of *other* worker counts (satellite: idempotent cleanup)."""
         # warm a 3-worker pool with an innocent job
         assert map_jobs(_double, [1, 2, 3], 3, backend="process") == [2, 4, 6]
-        pool3 = parallel._PROCESS_POOLS.get(3)
+        pool3 = parallel._POOLS.get(("map", 3))
         assert pool3 is not None
+        # serving pools share the registry and must survive it too
+        serve0 = parallel.serve_pool(0)
 
         marker = str(tmp_path / "kill-retire")
         jobs = [(marker, PARENT_PID, kwargs) for kwargs in _sim_jobs()[:3]]
@@ -174,8 +176,11 @@ class TestWorkerKillRecovery:
         )
         assert chaos.failure_report.pool_restarts >= 1
         # the 3-worker pool survived the 2-worker pool's funeral
-        assert parallel._PROCESS_POOLS.get(3) is pool3
+        assert parallel._POOLS.get(("map", 3)) is pool3
+        assert parallel.serve_pool(0) is serve0
         assert map_jobs(_double, [5], 3, backend="process") == [10]
+        parallel.retire_serve_pools(0)
+        assert parallel._POOLS.get(("map", 3)) is pool3
 
 
 def _double(x):  # module-level: picklable for the process backend

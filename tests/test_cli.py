@@ -137,6 +137,18 @@ class TestSweepCommand:
             assert a == b
         assert pooled["backend"] == "process"
 
+    def test_single_job_reports_serial_backend(self, capsys):
+        # map_jobs runs one job serially whatever the flags ask for.
+        assert main(["sweep", "--sizes", "64", "--seeds", "1",
+                     "--workers", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["backend"] == "serial"
+
+    def test_auto_backend_reports_what_ran(self, capsys):
+        assert main(["sweep", "--family", "cycle", "--sizes", "8,10",
+                     "--workers", "2", "--backend", "auto", "--json"]) == 0
+        # Every sweep job pickles, so "auto" resolves to processes.
+        assert json.loads(capsys.readouterr().out)["backend"] == "process"
+
     def test_broadcast_algorithm_and_metering(self, capsys):
         assert main(
             ["sweep", "--family", "path", "--sizes", "6", "--algorithm",

@@ -5,21 +5,17 @@ The observability layer (:mod:`repro.obs`) promises three things:
 1. **No observer effect.**  Installing a tracer changes *nothing* about
    a run's results: every :class:`~repro.simulator.runtime.RunResult`
    field is identical traced and untraced, on every engine (object,
-   columnar, reference, sharded), every pool backend, and every
+   columnar, reference), every pool backend, and every
    dynamic/serving mode.  This suite is that contract's differential
-   pin, mirroring ``tests/test_shard_differential.py``.
+   pin.
 2. **Disabled is a no-op.**  With no tracer installed, instrumentation
    sites reduce to one global read and a ``None`` check
    (``benchmarks/bench_obs.py`` gates the overhead; here we pin the
    API behaviour: ``current()`` is ``None``, nothing is recorded).
 3. **One merged trace.**  Worker-side spans (process-pool chunks,
-   shard sessions, serving workers) ship back with the results and
-   land in the parent trace under distinct pid lanes, so a sharded or
-   pooled run still yields a single loadable Chrome trace.
-
-Also covers the :func:`repro.simulator.sharding.last_shard_decision`
-accessor (the thread-local replacement for the racy ``LAST_DECISION``
-global, which stays as a deprecated mirror).
+   serving workers) ship back with the results and land in the parent
+   trace under distinct pid lanes, so a pooled run still yields a
+   single loadable Chrome trace.
 """
 
 from __future__ import annotations
@@ -40,13 +36,11 @@ from repro.obs import (
     EV_DYNAMIC_BATCH,
     EV_ENGINE_FALLBACK,
     EV_ENGINE_SELECTED,
-    EV_SHARD_DECISION,
     SPAN_NAMES,
     SPAN_ROUND,
     SPAN_RUN,
     summarize_trace,
 )
-from repro.simulator import sharding
 from repro.simulator.runtime import run, run_reference, sweep
 
 from helpers import assert_run_results_equal
@@ -123,31 +117,22 @@ def test_traced_equals_untraced_sweep_backends(backend):
         assert_run_results_equal(b, t, "untraced", "traced")
     # Worker (or worker-thread) round spans made it into the trace.
     assert tracer.events(SPAN_ROUND)
-
-
-@pytest.mark.parametrize("shards", [2, 3])
-def test_traced_equals_untraced_sharded(shards, monkeypatch):
-    monkeypatch.setattr(sharding, "MIN_SHARD_NODES", 0)
-    kw = _vc_case(n=32)
-    base = run(**kw, shards=shards)
-    assert sharding.last_shard_decision().engaged
-    traced, tracer = _traced(run, **kw, shards=shards)
-    assert_run_results_equal(base, traced, "untraced", "traced")
-    data = tracer.chrome()
-    lanes = {
-        e["args"]["name"]
-        for e in data["traceEvents"]
-        if e.get("ph") == "M" and e["name"] == "process_name"
-    }
-    assert sum(1 for name in lanes if name.startswith("shard ")) == shards
-    # Worker-side round spans live on non-parent lanes.
-    worker_rounds = [
-        e
-        for e in data["traceEvents"]
-        if e["name"] == SPAN_ROUND and e.get("pid", 0) > 0
-    ]
-    assert worker_rounds, "no worker-side round spans in the merged trace"
-    assert tracer.events(EV_SHARD_DECISION)
+    if backend == "process":
+        # Worker processes trace into their own buffers; the merged
+        # trace holds them on per-worker pid lanes.
+        data = tracer.chrome()
+        lanes = [
+            e["args"]["name"]
+            for e in data["traceEvents"]
+            if e.get("ph") == "M" and e["name"] == "process_name"
+        ]
+        assert any(name.startswith("pool worker") for name in lanes), lanes
+        worker_rounds = [
+            e
+            for e in data["traceEvents"]
+            if e["name"] == SPAN_ROUND and e.get("pid", 0) > 0
+        ]
+        assert worker_rounds, "no worker-side round spans in the merged trace"
 
 
 @pytest.mark.parametrize("mode", ["incremental", "scratch"])
@@ -285,7 +270,7 @@ def test_dump_roundtrip_and_summarize(tmp_path):
 def test_absorb_merges_lanes_and_counters():
     parent = obs.Tracer("parent")
     worker = obs.Tracer("worker")
-    worker.event(EV_ENGINE_SELECTED, engine="object", shards=1, n=4, rounds=1)
+    worker.event(EV_ENGINE_SELECTED, engine="object", n=4, rounds=1)
     worker.count("memo.hit", 2)
     parent.count("memo.hit", 1)
     parent.absorb(worker.drain_remote(), lane="w0")
@@ -326,48 +311,6 @@ def test_counter_names_vocabulary_is_exported():
     assert "memo.hit" in COUNTER_NAMES
     assert "serving.checkpoints" in COUNTER_NAMES
     assert all(isinstance(name, str) for name in COUNTER_NAMES)
-
-
-# ----------------------------------------------------------------------
-# 4. The last_shard_decision accessor (LAST_DECISION replacement)
-# ----------------------------------------------------------------------
-
-
-def test_last_shard_decision_accessor(monkeypatch):
-    monkeypatch.setattr(sharding, "MIN_SHARD_NODES", 0)
-    kw = _vc_case(n=32)
-    run(**kw, shards=2)
-    decision = sharding.last_shard_decision()
-    assert decision is not None and decision.engaged
-    assert decision.shards == 2
-    # The deprecated module global mirrors the thread-local record.
-    assert sharding.LAST_DECISION == decision
-
-
-def test_last_shard_decision_fallback_reason():
-    kw = _vc_case(n=8)  # far below MIN_SHARD_NODES
-    run(**kw, shards=2)
-    decision = sharding.last_shard_decision()
-    assert decision is not None and not decision.engaged
-    assert "MIN_SHARD_NODES" in decision.reason
-
-
-def test_last_shard_decision_is_thread_local(monkeypatch):
-    import threading
-
-    monkeypatch.setattr(sharding, "MIN_SHARD_NODES", 0)
-    kw = _vc_case(n=32)
-    run(**kw, shards=2)
-    seen = {}
-
-    def probe():
-        seen["other"] = sharding.last_shard_decision()
-
-    t = threading.Thread(target=probe)
-    t.start()
-    t.join()
-    assert seen["other"] is None  # fresh thread: no decision recorded
-    assert sharding.last_shard_decision() is not None
 
 
 def test_serving_report_counters_present():

@@ -9,10 +9,9 @@ What it enforces (CI `docs` job; run locally with
    the CLIs fail here), and the ``python`` block in README.md actually
    executes;
 2. the ``--help`` texts of both CLIs still advertise the flags the
-   docs promise (``--workers``/``--backend``/``--json``/``--replay``,
-   ``--shards`` on ``vc``/``sweep``), the library CLI advertises the
-   ``dynamic`` subcommand, and that subcommand documents its knobs
-   (``--mode``/``--stream``/...);
+   docs promise (``--workers``/``--backend``/``--json``/``--replay``),
+   the library CLI advertises the ``dynamic`` subcommand, and that
+   subcommand documents its knobs (``--mode``/``--stream``/...);
 3. every ``repro.*`` module named in the README paper->code map
    imports, and so does every ``repro.*`` reference in
    ``docs/architecture.md`` (the simulation-layers doc);
@@ -197,12 +196,6 @@ def check_help_texts() -> None:
             fail(f"repro.cli vc --help no longer documents {flag}")
         else:
             ok(f"repro.cli vc --help documents {flag}")
-    # intra-run sharding is promised on both run surfaces
-    for sub_name, sub_help in (("vc", vc_help), ("sweep", help_text)):
-        if "--shards" not in sub_help:
-            fail(f"repro.cli {sub_name} --help no longer documents --shards")
-        else:
-            ok(f"repro.cli {sub_name} --help documents --shards")
     # the engine choices themselves are read from the code, not
     # hard-coded: both subcommands must offer every runtime engine.
     from repro.simulator.runtime import ENGINES
@@ -294,13 +287,6 @@ def check_architecture_doc() -> None:
             ok(f"architecture.md covers the columnar substrate: {piece}")
         else:
             fail(f"architecture.md does not mention {piece}")
-    # ...and the sharded intra-run engine.
-    for piece in ("repro.simulator.sharding", "shards=", "boundary",
-                  "LAST_DECISION"):
-        if piece in doc:
-            ok(f"architecture.md covers the sharded engine: {piece}")
-        else:
-            fail(f"architecture.md does not mention {piece}")
     # ...and the serving host / overlay layer (PR 9).  The names are
     # read from the package, not hard-coded: they must stay importable
     # AND documented.
@@ -366,7 +352,7 @@ def check_performance_doc() -> None:
     for knob in ("arithmetic", "n_workers", "quiescence", "replay",
                  "DynamicRun", "repaired_fraction", "engine",
                  "MaxRoundsExceeded", "StateLayout", "bench_columnar",
-                 "shards=", "bench_shards", "ServingHost", "workers=",
+                 "ServingHost", "workers=",
                  "checkpoint_every", "latency_summary", "MutableTopology",
                  "cone_node_rounds", "bench_serving"):
         if knob not in doc:
@@ -387,17 +373,6 @@ def check_performance_doc() -> None:
     else:
         fail(f"docs/performance.md does not state the real "
              f"checkpoint_every default ({ckpt_default})")
-    # the sharding thresholds are read from the code, not hard-coded:
-    # the doc must state the real engagement floor and width clamp.
-    from repro.simulator import sharding
-
-    for name, value in (("MIN_SHARD_NODES", sharding.MIN_SHARD_NODES),
-                        ("MAX_SHARDS", sharding.MAX_SHARDS)):
-        if f"`{name}` = {value}" in doc or f"{name} = {value}" in doc:
-            ok(f"performance.md states {name} = {value}")
-        else:
-            fail(f"docs/performance.md does not state the real value "
-                 f"{name} = {value}")
 
 
 def check_robustness_doc() -> None:
@@ -473,7 +448,7 @@ def check_observability_doc() -> None:
         fail("repro.cli has no 'trace' subcommand")
     else:
         ok("repro.cli advertises the 'trace' subcommand")
-    for piece in ("--trace", "trace summarize", "last_shard_decision",
+    for piece in ("--trace", "trace summarize",
                   "drain_remote", "absorb", "HostReport.counters",
                   "check_no_raw_timers", "bench_obs"):
         if piece in doc:
