@@ -23,7 +23,8 @@ Typed events (instants with structured args)
   actually used (``engine``, ``n``, ``rounds``).
 * :data:`EV_ENGINE_FALLBACK` — a substrate that could not engage and
   why (``wanted``, ``reason``) — emitted for every columnar fallback
-  cause.
+  cause, and by a dynamic session whose light-cone repair raised
+  (``wanted="incremental"``) before it re-solves the batch in full.
 * :data:`EV_POOL_RETRY` — one process-pool degradation-ladder action
   (``chunk``, ``attempt``, ``action``, ``backoff_s``).
 * :data:`EV_DYNAMIC_BATCH` — one dynamic batch's repair accounting,

@@ -17,11 +17,14 @@ from __future__ import annotations
 
 from typing import Iterable, Tuple
 
+from repro import obs
+
 __all__ = [
     "RUN_RESULT_FIELDS",
     "describe_difference",
     "assert_run_results_equal",
     "assert_result_lists_equal",
+    "apply_loudly",
 ]
 
 #: Every field of :class:`repro.simulator.runtime.RunResult`, in the
@@ -94,3 +97,15 @@ def assert_result_lists_equal(
         assert_run_results_equal(
             x, y, label_a=f"{label_a}[{i}]", label_b=f"{label_b}[{i}]"
         )
+
+
+def apply_loudly(session, batch):
+    """``session.apply(batch)``, asserting the incremental repair did not
+    fall back to a full solve on an exception.  The fallback keeps the
+    result exact, so only its ``engine.fallback`` event shows it."""
+    tracer = obs.Tracer()
+    with obs.tracing(tracer):
+        stats = session.apply(batch)
+    fallbacks = tracer.events(obs.EV_ENGINE_FALLBACK)
+    assert not fallbacks, f"incremental repair fell back: {fallbacks}"
+    return stats

@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
+from repro.core.edge_packing import EdgePackingMachine, schedule_length
+from repro.dynamic import session as session_mod
 from repro.dynamic import (
     DYNAMIC_MODES,
     DynamicRun,
@@ -35,8 +38,9 @@ from repro.dynamic import (
 from repro.graphs import families
 from repro.graphs.setcover import random_instance
 from repro.graphs.weights import uniform_weights, unit_weights
+from repro.simulator.machine import BROADCAST, PORT_NUMBERING, Machine
 
-from helpers import assert_run_results_equal
+from helpers import apply_loudly, assert_run_results_equal
 
 
 def assert_same_result(a, b):
@@ -52,7 +56,7 @@ def _session_pair(graph, weights, **kwargs):
 
 
 def _apply_both(inc, scr, batch):
-    s1 = inc.apply(batch)
+    s1 = apply_loudly(inc, batch)
     s2 = scr.apply(batch)
     assert_same_result(inc.result, scr.result)
     assert inc.cover() == scr.cover()
@@ -178,6 +182,155 @@ def test_low_churn_repairs_a_strict_minority():
 
 
 # ----------------------------------------------------------------------
+# Quiescence-aware light cones
+# ----------------------------------------------------------------------
+
+
+class _NoQuiescence(EdgePackingMachine):
+    """The §3 machine with the quiescence hooks removed: sessions then
+    record and replay every node-round to the end of the schedule."""
+
+    quiescent = None
+
+
+def test_quiescence_pruning_engages_and_stays_exact():
+    """One §3 stream through three sessions — quiescence-aware, hooks
+    removed, and scratch — agreeing on every field after every batch,
+    across a history remap and a mid-stream snapshot/restore, while
+    the quiescence-aware cone re-steps strictly less."""
+    n, W = 48, 4
+    g = families.cycle_graph(n)
+    w = uniform_weights(n, W, seed=5)
+    pinned = {"delta": 2, "W": W}
+    rounds = schedule_length(2, W)
+
+    def session(machine, mode="incremental"):
+        return DynamicRun(g, w, machine, pinned, rounds, mode=mode, flow="port")
+
+    quiet = session(EdgePackingMachine())
+    plain = session(_NoQuiescence())
+    scr = session(EdgePackingMachine(), mode="scratch")
+    stream = RandomChurn(edits_per_batch=2, seed=21, W=W, max_degree=2)
+    quiet_nodes = plain_nodes = quiet_work = plain_work = 0
+    for i in range(8):
+        if i == 3:
+            v = 10
+            ends = [u if u < v else u - 1 for u in quiet.graph.neighbours(v)]
+            batch = [remove_vertex(v), add_vertex(3, neighbours=ends)]
+        else:
+            batch = stream.next_batch(quiet.graph, quiet.inputs)
+        if i == 5:
+            quiet = DynamicRun.restore(quiet.snapshot())
+            plain = DynamicRun.restore(plain.snapshot())
+        s_quiet = apply_loudly(quiet, batch)
+        s_plain = apply_loudly(plain, batch)
+        scr.apply(batch)
+        assert_same_result(quiet.result, scr.result)
+        assert_same_result(plain.result, scr.result)
+        assert s_quiet.repaired_nodes <= s_plain.repaired_nodes
+        assert s_quiet.cone_node_rounds <= s_plain.cone_node_rounds
+        quiet_nodes += s_quiet.repaired_nodes
+        plain_nodes += s_plain.repaired_nodes
+        quiet_work += s_quiet.cone_node_rounds
+        plain_work += s_plain.cone_node_rounds
+    assert quiet.graph.n == n
+    assert quiet_nodes < plain_nodes  # quiet ball nodes were skipped
+    assert quiet_work < plain_work
+
+
+def test_quiescent_nodes_stop_recording():
+    """Memory guard: on the unit-weight cycle every node is quiescent
+    after Phase I's settle round 2Δ + 1, so — before and after a
+    repair — no node holds more than 2Δ + 1 = 5 emission rows, nor
+    states beyond the 2Δ = 4 it can be resumed from (27 of each before
+    quiescence ended the columns), and a silent row is ``None``."""
+    n = 512
+    sess = DynamicRun.vertex_cover(families.cycle_graph(n), unit_weights(n))
+    for batch in ([], [remove_edge(100, 101)], [add_edge(100, 101)]):
+        if batch:
+            apply_loudly(sess, batch)
+        hist = sess._memo.get(sess._generation, "history")
+        assert max(len(col) for col in hist.out) <= 5
+        assert max(len(col) for col in hist.st) <= 4
+        assert sum(len(col) for col in hist.st) <= 4 * n
+        rows = [row for col in hist.out for row in col if row is not None]
+        assert all(any(m is not None for m in row) for row in rows)
+
+
+class _Echo(Machine):
+    """A minimal quiescence-protocol machine for either model: a node
+    with input ``k`` sends its running checksum and folds everything it
+    hears into it for ``k`` rounds, then coasts silently to a fixed
+    horizon.  Any inbox change before round ``k`` changes the output,
+    so a replay that skips or parks a node too early cannot hide."""
+
+    HORIZON = 12
+
+    def __init__(self, model, quiet=True):
+        self.model = model
+        if not quiet:
+            self.quiescent = None
+
+    def start(self, ctx):
+        # Degree in the seed: an edge edit changes the round-0 message.
+        return (0, ctx.input + 7 * ctx.degree)
+
+    def emit(self, ctx, state):
+        i, value = state
+        if i >= ctx.input:
+            return None
+        return value if self.model == BROADCAST else [value] * ctx.degree
+
+    def step(self, ctx, state, inbox):
+        i, value = state
+        if i < ctx.input:
+            for m in inbox:
+                value = (value * 31 + (0 if m is None else m + 1)) % 1_000_003
+        return (i + 1, value)
+
+    def halted(self, ctx, state):
+        return state[0] >= self.HORIZON
+
+    def output(self, ctx, state):
+        return state[1]
+
+    def quiescent(self, ctx, state):
+        return state[0] >= ctx.input
+
+    def fast_forward(self, ctx, state, max_elapsed):
+        elapsed = min(max_elapsed, self.HORIZON - state[0])
+        if elapsed <= 0:
+            return state, 0
+        return (state[0] + elapsed, state[1]), elapsed
+
+
+@pytest.mark.parametrize("model", [PORT_NUMBERING, BROADCAST])
+def test_quiescence_skip_and_park_in_both_models(model):
+    """The skip and park rules in the port and the broadcast branch
+    of the replay, on a machine whose nodes go quiet at different
+    rounds (reweights move a node's quiescence round)."""
+    g = families.cycle_graph(40)
+    k = uniform_weights(40, 6, seed=3)
+
+    def session(quiet, mode="incremental"):
+        return DynamicRun(
+            g, k, _Echo(model, quiet), {}, 50, mode=mode, flow="custom"
+        )
+
+    quiet, plain, scr = session(True), session(False), session(True, "scratch")
+    stream = RandomChurn(edits_per_batch=2, seed=4, W=6, max_degree=3)
+    quiet_work = plain_work = 0
+    for _ in range(10):
+        batch = stream.next_batch(quiet.graph, quiet.inputs)
+        quiet_work += apply_loudly(quiet, batch).cone_node_rounds
+        plain_work += apply_loudly(plain, batch).cone_node_rounds
+        scr.apply(batch)
+        assert_same_result(quiet.result, scr.result)
+        assert_same_result(plain.result, scr.result)
+    assert quiet_work < plain_work
+
+
+# ----------------------------------------------------------------------
 # §5 broadcast flow and §4 set-cover flow
 # ----------------------------------------------------------------------
 
@@ -281,6 +434,27 @@ def test_incremental_history_survives_fallback():
     assert s_wide.repaired_fraction == 1.0
     s_small = _apply_both(inc, scr, [add_edge(0, 1)])
     assert s_small.repaired_fraction < 1.0
+
+
+def test_repair_fallback_is_recorded(monkeypatch):
+    """A light-cone repair that raises still leaves an exact result (the
+    batch is re-solved in full), but it must say so in the trace."""
+    g = families.cycle_graph(128)  # the ball must not cover the graph
+    inc, scr = _session_pair(g, unit_weights(128))
+
+    def broken(*args, **kwargs):
+        raise IndexError("replay broke")
+
+    monkeypatch.setattr(session_mod, "_cone_replay", broken)
+    tracer = obs.Tracer()
+    with obs.tracing(tracer):
+        stats = inc.apply([remove_edge(3, 4)])
+    scr.apply([remove_edge(3, 4)])
+    assert_same_result(inc.result, scr.result)
+    assert stats.repaired_nodes == inc.graph.n
+    (event,) = tracer.events(obs.EV_ENGINE_FALLBACK)
+    assert event["args"]["wanted"] == "incremental"
+    assert event["args"]["reason"] == "IndexError: replay broke"
 
 
 def test_batch_stats_accounting():

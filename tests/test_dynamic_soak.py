@@ -12,7 +12,10 @@ port renumbering debt from repeated vertex churn all accumulate).
 The soak also pins the memory contract: :class:`GenerationalMemo`
 retires stale generations as the stream advances — the incremental
 session's memo never holds more than two generation buckets, no
-matter how long the stream runs.
+matter how long the stream runs.  And it pins that the light cone
+itself ran: an incremental repair that raises falls back to an exact
+full solve, so each batch is applied under a tracer that must record
+no ``engine.fallback`` event.
 
 CI runs this suite in the docs job under a hard timeout; cells are
 sized so the whole module stays well inside it.
@@ -26,7 +29,7 @@ from repro.dynamic import DynamicRun, HubChurn, RandomChurn, SlidingWindowStream
 from repro.graphs import families
 from repro.graphs.weights import uniform_weights
 
-from helpers import assert_run_results_equal
+from helpers import apply_loudly, assert_run_results_equal
 
 SOAK_BATCHES = 110
 
@@ -55,7 +58,7 @@ def _soak(graph, weights, *, algorithm, delta, W, metering, stream_kind, seed,
         batch = stream.next_batch(inc.graph, inc.inputs)
         if not batch:
             continue
-        inc.apply(batch)
+        apply_loudly(inc, batch)
         scr.apply(batch)
         applied += 1
         assert_run_results_equal(
