@@ -23,9 +23,14 @@ from repro.analysis.verify import (
 )
 from repro.core.colours import encode_colour_sequence
 from repro.core.edge_packing import EdgePackingMachine, maximal_edge_packing
+from repro.core.fractional_packing import (
+    FractionalPackingMachine,
+    fp_schedule_length,
+)
 from repro.graphs import families
+from repro.graphs.setcover import random_instance
 from repro.graphs.weights import uniform_weights
-from repro.simulator.runtime import run, run_reference, sweep
+from repro.simulator.runtime import run, run_on_setcover, run_reference, sweep
 from repro._util.ordering import canonical_sorted
 from repro._util.sizes import message_size_bits
 
@@ -167,6 +172,21 @@ def test_perf_message_size_metering(benchmark):
     )
     bits = benchmark(lambda: message_size_bits(history))
     assert bits > 0
+
+
+def test_perf_set_cover_k3f2(benchmark):
+    """The Section 4 machine run directly: the set-cover flow at 40
+    nodes, 425 rounds, metering bits."""
+    inst = random_instance(20, 20, k=3, f=2, W=2)
+    rounds = fp_schedule_length(inst.f, inst.k, inst.W)
+    res = benchmark.pedantic(
+        lambda: run_on_setcover(
+            inst, FractionalPackingMachine(), max_rounds=rounds, metering="bits"
+        ),
+        rounds=5,
+        iterations=1,
+    )
+    assert res.all_halted and res.rounds == 425
 
 
 def test_perf_message_experiment(benchmark):

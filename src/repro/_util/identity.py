@@ -13,9 +13,16 @@ call site must share:
   served for a different object.
 
 Cached values must describe state the object cannot change (immutable
-contents, or fields fixed at construction).  When the memo grows past
-its bound it is dropped wholesale — a miss recomputes, it never
-mis-answers.
+contents, or fields fixed at construction).
+
+The memo is bounded by two generations of ``limit`` entries each.
+Puts go to the current generation; when it is full it becomes the
+previous one, the old previous generation is dropped, and a new
+current one starts.  Lookups check both.  So at most ``2 * limit``
+objects stay pinned, and the most recent ``limit`` puts always
+survive — an entry made one round ago (a history's parent, say) is
+never lost to an eviction that happens to fall between the two
+rounds.  A miss recomputes; it never mis-answers.
 """
 
 from __future__ import annotations
@@ -33,23 +40,28 @@ class IdentityMemo:
     tuples, bit counts).
     """
 
-    __slots__ = ("_entries", "limit")
+    __slots__ = ("_current", "_previous", "limit")
 
     def __init__(self, limit: int = 64):
-        self._entries: Dict[int, Tuple[Any, Any]] = {}
+        self._current: Dict[int, Tuple[Any, Any]] = {}
+        self._previous: Dict[int, Tuple[Any, Any]] = {}
         self.limit = limit
 
     def get(self, obj: Any) -> Optional[Any]:
-        entry = self._entries.get(id(obj))
+        key = id(obj)
+        entry = self._current.get(key)
+        if entry is None:
+            entry = self._previous.get(key)
         if entry is not None and entry[0] is obj:
             return entry[1]
         return None
 
     def put(self, obj: Any, value: Any) -> Any:
-        entries = self._entries
-        if len(entries) >= self.limit:
-            entries.clear()
-        entries[id(obj)] = (obj, value)
+        current = self._current
+        if len(current) >= self.limit:
+            self._previous = current
+            current = self._current = {}
+        current[id(obj)] = (obj, value)
         return value
 
     def get_or_compute(self, obj: Any, factory: Callable[[], Any]) -> Any:

@@ -224,21 +224,23 @@ class HistoryIds:
     on length an id denotes exactly one history content (up to ``==``
     on messages, the equality of the tuple keys ids replace): an
     id-keyed memo hit is as sound as a content-keyed one.  Equal
-    contents get equal ids while the tables are intact; after a
-    wholesale wipe (the size bound) a content seen before may get a
-    second id, which only costs memo misses.  A pickled copy starts
+    contents get equal ids while the child table is intact; after it
+    is wiped wholesale (its size bound) a content seen before may get
+    a second id, which only costs memo misses.  A pickled copy starts
     empty above every id the original had issued, so ids held by a
     copied memo are never reissued for another content.  Threads may
     share a table without a lock: the counter is atomic and a key's id
     is stored once (``setdefault``), so a race at most wastes an id.
 
-    Lookups by object go through an identity memo (same pinning
-    discipline as :class:`repro._util.identity.IdentityMemo`): a
+    Lookups by object go through a
+    :class:`repro._util.identity.IdentityMemo`, which keeps two
+    generations of ``limit`` objects (at most ``2 * limit`` pinned): a
     producer that extends ``parent`` into ``child`` registers the child
     with :meth:`extend`, and every later :meth:`of` on that object is
     O(1).  An unregistered object — a pickled or restored history, one
-    rebuilt by a fault adversary, one evicted by the bound — is interned
-    message by message, O(length) once, then cached.
+    rebuilt by a fault adversary, one evicted with the older
+    generation — is interned message by message, O(length) once, then
+    cached.
     """
 
     __slots__ = ("_children", "_objects", "_counter", "limit")
@@ -304,7 +306,10 @@ class HistoryIds:
 # the differential suite, where scratch-mode machines never register
 # extensions).
 
-_EXTENSIONS = IdentityMemo(limit=1 << 16)
+# One entry per node per round; the limit is per generation (see
+# IdentityMemo), so on graphs of up to 4,096 nodes the parent
+# registered last round is always still there.
+_EXTENSIONS = IdentityMemo(limit=1 << 12)
 
 
 def note_extension(parent: Tuple, child: Tuple) -> Tuple:

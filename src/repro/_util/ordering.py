@@ -47,8 +47,10 @@ _RANK_STR = 3
 _RANK_TUPLE = 4
 _RANK_DICT = 5
 
-# Only deeply immutable tuples are stored.
-_KEY_MEMO = IdentityMemo(limit=1 << 16)
+# Only deeply immutable tuples are stored.  The limit is per generation and
+# sized to a round's working set: the Section 5 machine adds about 1.4
+# entries per node per round, so at n=64 a generation spans ~40 rounds.
+_KEY_MEMO = IdentityMemo(limit=1 << 12)
 
 # Element keys of extension chains, interned: equal key -> one object.
 _ELEMENT_KEYS: Dict[Tuple, Tuple] = {}
@@ -96,9 +98,9 @@ def _key(value: Any) -> Tuple[Tuple, bool]:
         if parent is not None:
             # value == parent + (value[-1],): extend the parent's
             # cached key (cached implies deeply immutable) instead of
-            # re-keying every element.  Cached-parent case only — after
-            # a memo wipe, fall through to the full scan rather than
-            # recursing down a long extension chain.
+            # re-keying every element.  Cached-parent case only — if the
+            # parent has aged out of the memo, fall through to the full
+            # scan rather than recursing down a long extension chain.
             parent_key = _KEY_MEMO.get(parent)
             if parent_key is not None:
                 last_key, last_frozen = _key(value[-1])

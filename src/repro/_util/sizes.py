@@ -45,8 +45,10 @@ from repro._util.rationals import ScaledInt
 
 __all__ = ["message_size_bits"]
 
-# Only deeply immutable tuples are stored.
-_SIZE_MEMO = IdentityMemo(limit=1 << 16)
+# Only deeply immutable tuples are stored.  The limit is per generation and
+# sized to a round's working set: the Section 5 machine adds about 1.4
+# entries per node per round, so at n=64 a generation spans ~40 rounds.
+_SIZE_MEMO = IdentityMemo(limit=1 << 12)
 
 
 def _int_bits(n: int) -> int:
@@ -91,9 +93,9 @@ def _size(value: Any) -> Tuple[int, bool]:
             # value == parent + (value[-1],): derive the size from the
             # parent's cached size (a cached size implies the parent is
             # deeply immutable).  Only the already-cached case is taken
-            # — the parent was metered last round; after a memo wipe we
-            # simply fall through to the full scan, never recursing
-            # down a long extension chain.
+            # — the parent was metered last round; if it has aged out
+            # of the memo we simply fall through to the full scan,
+            # never recursing down a long extension chain.
             parent_bits = _SIZE_MEMO.get(parent)
             if parent_bits is not None:
                 last_bits, last_frozen = _size(value[-1])

@@ -117,8 +117,7 @@ class BroadcastVertexCoverMachine(Machine):
         self._ids = HistoryIds() if incremental else None
         # Per-run H-side views, keyed by the identity of the run's shared
         # globals mapping: one H-globals object per run also keeps the
-        # inner machine's schedule and zero caches (keyed the same way)
-        # hitting.
+        # inner machine's zero cache (keyed the same way) hitting.
         self._h_views = IdentityMemo()
 
     def with_replay(self, replay: str) -> "BroadcastVertexCoverMachine":

@@ -44,14 +44,31 @@ it falls back to an exact :class:`~fractions.Fraction`, explicitly,
 never silently).  ``arithmetic="fraction"`` keeps the original
 all-``Fraction`` transitions; both modes are observably identical
 (outputs, colours, metered bits), pinned by the differential suite.
+
+**Compiled program.**  The schedule depends only on the public
+``(f, k, W)``, so it is compiled once per triple (:func:`_fp_program`)
+into four per-round handler tables: subset emit, element emit, subset
+step and element step, with ``None`` where that role is silent or
+idle.  ``start`` stamps the program on every state, so a hook is one
+table index and one call — no string dispatch and no schedule lookup
+per call.  States evolve copy-on-write: a successor shares every
+container with its predecessor, a handler assigns a fresh
+``x_by_colour``/``q_by_colour`` dict only when it writes one, and a
+role idle in a round advances its index alone.  A subset with no
+colours to relay in a trivial-reduction round sends one shared
+constant ``("colours", ())``: equal to a fresh tuple, so bits, keys
+and outputs are unchanged, while the identity-keyed payload memos hit
+on it instead of pinning a new entry per node-round.  The message
+stream is pinned by digests in ``tests/test_fractional_packing.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro._util.identity import IdentityMemo
 from repro._util.rationals import FRACTION_ZERO, ScaledInt, factorial
@@ -137,8 +154,28 @@ def fp_den_limit(f: int, k: int) -> int:
 # ----------------------------------------------------------------------
 
 
+class _CopyOnWrite:
+    """Per-node states are never mutated after a transition.
+
+    Copy-on-write like :class:`repro.core.edge_packing._State`: a
+    successor made by :meth:`evolve` shares every container with its
+    predecessor, and a handler assigns a fresh dict for whatever it
+    writes.  ``prog``, the run's compiled program stamped by ``start``,
+    is derived from the globals, so it takes no part in equality or
+    repr.
+    """
+
+    def evolve(self, idx: int):
+        """Shallow successor at schedule position ``idx``."""
+        new = object.__new__(self.__class__)
+        d = self.__dict__.copy()
+        d["idx"] = idx
+        new.__dict__ = d
+        return new
+
+
 @dataclass
-class _SubsetState:
+class _SubsetState(_CopyOnWrite):
     idx: int
     w: int
     r: Any  # residual (ScaledInt or Fraction)
@@ -147,6 +184,7 @@ class _SubsetState:
     q_by_colour: Dict[int, Any] = field(default_factory=dict)
     wcv_relay: Tuple = ()
     tr_relay: Tuple = ()
+    prog: Optional["_Program"] = field(default=None, compare=False, repr=False)
 
     def clone(self) -> "_SubsetState":
         return _SubsetState(
@@ -158,11 +196,12 @@ class _SubsetState:
             q_by_colour=dict(self.q_by_colour),
             wcv_relay=self.wcv_relay,
             tr_relay=self.tr_relay,
+            prog=self.prog,
         )
 
 
 @dataclass
-class _ElementState:
+class _ElementState(_CopyOnWrite):
     idx: int
     c: int = 0  # colour in {0..D}
     y: Any = FRACTION_ZERO  # packing value (ScaledInt or Fraction)
@@ -171,6 +210,7 @@ class _ElementState:
     p: Optional[Any] = None  # value from this iteration's phase
     cprime: Optional[int] = None  # weak-CV working colour
     c3: Optional[int] = None  # combined colour during trivial reduction
+    prog: Optional["_Program"] = field(default=None, compare=False, repr=False)
 
     def clone(self) -> "_ElementState":
         return _ElementState(
@@ -182,7 +222,333 @@ class _ElementState:
             p=self.p,
             cprime=self.cprime,
             c3=self.c3,
+            prog=self.prog,
         )
+
+
+# ----------------------------------------------------------------------
+# Round handlers
+# ----------------------------------------------------------------------
+#
+# Emit handlers take the state and return the payload.  Step handlers
+# have the signature of Machine.step and return the successor state at
+# the next schedule position.  Round parameters (colour, target, ...)
+# are bound with functools.partial when the program is compiled.
+
+# The relay of a subset with no colours to relay.  Equal to a fresh
+# ("colours", ()), so bits, keys and outputs are unchanged, and the
+# identity-keyed payload memos hit on it instead of pinning a new entry
+# per node-round.
+_EMPTY_RELAY: Tuple = ("colours", ())
+
+_emit_r = attrgetter("r")
+_emit_y = attrgetter("y")
+_emit_wcv_relay = attrgetter("wcv_relay")
+_emit_tr_relay = attrgetter("tr_relay")
+
+
+def _emit_offer(i: int, st: _SubsetState) -> Any:
+    return st.x_by_colour.get(i)
+
+
+def _emit_membership(st: _ElementState) -> bool:
+    return bool(st.in_uyi)
+
+
+def _emit_p(st: _ElementState) -> Any:
+    return st.p if st.in_uyi else None
+
+
+def _emit_triplet(st: _ElementState) -> Any:
+    if st.saturated:
+        return None
+    return ("triplet", st.cprime, st.c, st.p)
+
+
+def _emit_colour(st: _ElementState) -> Any:
+    if st.saturated:
+        return None
+    return ("colour", st.c3)
+
+
+# -- subset steps ----------------------------------------------------------
+
+
+def _subset_absorb_y(
+    new_iteration: bool, ctx: LocalContext, state: _SubsetState, inbox: Sequence[Any]
+) -> _SubsetState:
+    st = state.evolve(state.idx + 1)
+    total = sum((m for m in inbox if m is not None), st.zero)
+    st.r = st.w - total
+    if st.r < 0:
+        raise AssertionError("fractional packing infeasible: y[s] > w_s")
+    if new_iteration:
+        # New iteration: forget the previous iteration's offers.
+        st.x_by_colour = {}
+        st.q_by_colour = {}
+    return st
+
+
+def _subset_offer(
+    i: int, ctx: LocalContext, state: _SubsetState, inbox: Sequence[Any]
+) -> _SubsetState:
+    st = state.evolve(state.idx + 1)
+    count = sum(1 for m in inbox if m is True)
+    if count > 0 and st.r > 0:
+        x_by_colour = dict(state.x_by_colour)
+        x_by_colour[i] = st.r / count
+        st.x_by_colour = x_by_colour
+    # (If r == 0 the subset is saturated; its neighbours already saw
+    # r == 0 in sat_r and left U_yi, so count == 0.)
+    return st
+
+
+def _subset_record_min(
+    i: int, ctx: LocalContext, state: _SubsetState, inbox: Sequence[Any]
+) -> _SubsetState:
+    st = state.evolve(state.idx + 1)
+    values = [m for m in inbox if m is not None]
+    if values and i in state.x_by_colour:
+        q_by_colour = dict(state.q_by_colour)
+        q_by_colour[i] = min(values)
+        st.q_by_colour = q_by_colour
+    return st
+
+
+def _subset_wcv_relay(
+    ctx: LocalContext, state: _SubsetState, inbox: Sequence[Any]
+) -> _SubsetState:
+    # Build the relay set of Section 4.5 step (ii).
+    x_by_colour = state.x_by_colour
+    q_by_colour = state.q_by_colour
+    relay = set()
+    for m in inbox:
+        if m is None:
+            continue
+        _tag, cprime_v, i, p_v = m
+        if q_by_colour.get(i) == p_v and i in x_by_colour:
+            relay.add(("wcv", cprime_v, i, x_by_colour[i]))
+    st = state.evolve(state.idx + 1)
+    st.wcv_relay = tuple(sorted(relay))
+    return st
+
+
+def _subset_tr_relay(
+    ctx: LocalContext, state: _SubsetState, inbox: Sequence[Any]
+) -> _SubsetState:
+    colours = sorted(m[1] for m in inbox if m is not None)
+    st = state.evolve(state.idx + 1)
+    st.tr_relay = ("colours", tuple(colours)) if colours else _EMPTY_RELAY
+    return st
+
+
+# -- element steps -----------------------------------------------------------
+
+
+def _saturated(ctx: LocalContext, inbox: Sequence[Any]) -> bool:
+    residuals = [m for m in inbox if m is not None]
+    if len(residuals) != ctx.degree:
+        raise AssertionError("element missed a residual broadcast")
+    return any(r == 0 for r in residuals)
+
+
+def _element_join(
+    colour: int, ctx: LocalContext, state: _ElementState, inbox: Sequence[Any]
+) -> _ElementState:
+    st = state.evolve(state.idx + 1)
+    st.saturated = _saturated(ctx, inbox)
+    st.in_uyi = (not st.saturated) and (st.c == colour)
+    return st
+
+
+def _element_sync(
+    k: int,
+    W: int,
+    D: int,
+    ctx: LocalContext,
+    state: _ElementState,
+    inbox: Sequence[Any],
+) -> _ElementState:
+    # Iteration boundary: set up the colouring phase.
+    st = state.evolve(state.idx + 1)
+    st.saturated = _saturated(ctx, inbox)
+    st.in_uyi = False
+    if not st.saturated:
+        if st.p is None:
+            raise AssertionError(
+                "unsaturated element reached the colouring phase "
+                "without a p-value"
+            )
+        st.cprime = encode_p_value(st.p, k, W, D)
+    else:
+        st.cprime = None
+    return st
+
+
+def _element_take_offer(
+    ctx: LocalContext, state: _ElementState, inbox: Sequence[Any]
+) -> _ElementState:
+    st = state.evolve(state.idx + 1)
+    if st.in_uyi:
+        offers = [m for m in inbox if m is not None]
+        if len(offers) != ctx.degree:
+            raise AssertionError(
+                "a neighbour of a U_yi member made no offer "
+                "(it must be in S'; state desync)"
+            )
+        st.p = min(offers)
+    return st
+
+
+def _element_raise_y(
+    ctx: LocalContext, state: _ElementState, inbox: Sequence[Any]
+) -> _ElementState:
+    st = state.evolve(state.idx + 1)
+    if st.in_uyi:
+        st.y = st.y + st.p
+    return st
+
+
+def _element_wcv_step(
+    last: bool, ctx: LocalContext, state: _ElementState, inbox: Sequence[Any]
+) -> _ElementState:
+    st = state.evolve(state.idx + 1)
+    if st.saturated:
+        st.cprime = None
+    elif st.cprime is not None:
+        received = set()
+        for m in inbox:
+            if m is None:
+                continue
+            received.update(m)  # each subset relays a tuple of triplets
+        L = {
+            cprime_v
+            for (_tag, cprime_v, i, x) in received
+            if i == st.c and x == st.p and cprime_v != st.cprime
+        }
+        pseudo = min(L) if L else cv_pseudo_parent(st.cprime)
+        st.cprime = cv_step_colour(st.cprime, pseudo)
+        if last:
+            # c2 in {0..5}; combine with the old colour: c3 = 6c + c2.
+            st.c3 = 6 * st.c + st.cprime
+    return st
+
+
+def _element_eliminate(
+    target: int, D: int, ctx: LocalContext, state: _ElementState, inbox: Sequence[Any]
+) -> _ElementState:
+    st = state.evolve(state.idx + 1)
+    if not st.saturated:
+        if st.c3 == target:
+            banned = set()
+            for m in inbox:
+                if m is None:
+                    continue
+                banned.update(c for c in m[1] if c != target)
+            st.c3 = next(c for c in range(D + 1) if c not in banned)
+        if target == D + 1:  # last elimination of this iteration
+            if st.c3 > D:
+                raise AssertionError("trivial colour reduction incomplete")
+            st.c = st.c3
+    return st
+
+
+# ----------------------------------------------------------------------
+# Compiled program
+# ----------------------------------------------------------------------
+
+
+class _Program:
+    """The Section 4 schedule for one ``(f, k, W)``, compiled to tables.
+
+    ``subset_emit``/``element_emit`` hold one emit handler per round
+    (``None``: the role is silent), ``subset_step``/``element_step``
+    one step handler per round (``None``: the role is idle and only
+    advances its index).  Built once per triple by :func:`_fp_program`
+    and shared by every state of every run with those globals; pickles
+    as a reference, so states carry it for free.
+    """
+
+    __slots__ = (
+        "f",
+        "k",
+        "W",
+        "D",
+        "tags",
+        "length",
+        "last_wcv",
+        "subset_emit",
+        "element_emit",
+        "subset_step",
+        "element_step",
+    )
+
+    def __init__(self, f: int, k: int, W: int) -> None:
+        tags = build_fp_schedule(f, k, W)
+        D = fp_out_degree_bound(f, k)
+        last_wcv = cv_schedule_length(chi_fractional_packing(k, W, D) + 1) - 1
+        self.f, self.k, self.W, self.D = f, k, W, D
+        self.tags = tags
+        self.length = len(tags)
+        self.last_wcv = last_wcv
+        # One partial per distinct handler, shared by every round using it.
+        absorb_y = {b: partial(_subset_absorb_y, b) for b in (False, True)}
+        wcv_step = {b: partial(_element_wcv_step, b) for b in (False, True)}
+        sync = partial(_element_sync, k, W, D)
+        subset_emit: List[Optional[Callable]] = []
+        element_emit: List[Optional[Callable]] = []
+        subset_step: List[Optional[Callable]] = []
+        element_step: List[Optional[Callable]] = []
+        for tag in tags:
+            kind = tag[0]
+            if kind == "sat_y":
+                row = (None, _emit_y, absorb_y[tag[2] == 0], None)
+            elif kind == "sync_y":
+                row = (None, _emit_y, absorb_y[False], None)
+            elif kind == "sat_r":
+                row = (_emit_r, None, None, partial(_element_join, tag[2]))
+            elif kind == "sync_r":
+                row = (_emit_r, None, None, sync)
+            elif kind == "sat_m":
+                row = (None, _emit_membership, partial(_subset_offer, tag[2]), None)
+            elif kind == "sat_x":
+                row = (partial(_emit_offer, tag[2]), None, None, _element_take_offer)
+            elif kind == "sat_p":
+                record_min = partial(_subset_record_min, tag[2])
+                row = (None, _emit_p, record_min, _element_raise_y)
+            elif kind == "wcv_elem":
+                row = (None, _emit_triplet, _subset_wcv_relay, None)
+            elif kind == "wcv_subset":
+                row = (_emit_wcv_relay, None, None, wcv_step[tag[2] == last_wcv])
+            elif kind == "tr_elem":
+                row = (None, _emit_colour, _subset_tr_relay, None)
+            elif kind == "tr_subset":
+                eliminate = partial(_element_eliminate, tag[2], D)
+                row = (_emit_tr_relay, None, None, eliminate)
+            else:
+                raise AssertionError(f"unknown schedule tag {tag!r}")
+            subset_emit.append(row[0])
+            element_emit.append(row[1])
+            subset_step.append(row[2])
+            element_step.append(row[3])
+        self.subset_emit = tuple(subset_emit)
+        self.element_emit = tuple(element_emit)
+        self.subset_step = tuple(subset_step)
+        self.element_step = tuple(element_step)
+
+    def __reduce__(self):
+        return (_fp_program, (self.f, self.k, self.W))
+
+
+@lru_cache(maxsize=None)
+def _fp_program(f: int, k: int, W: int) -> _Program:
+    """The compiled program for ``(f, k, W)`` (one per triple)."""
+    return _Program(f, k, W)
+
+
+# ----------------------------------------------------------------------
+# The machine
+# ----------------------------------------------------------------------
 
 
 class FractionalPackingMachine(Machine):
@@ -209,9 +575,6 @@ class FractionalPackingMachine(Machine):
                 f"got {arithmetic!r}"
             )
         self.arithmetic = arithmetic
-        # Schedule lookup is on the hot path of every hook; key the
-        # memo by the identity of the shared per-run globals mapping.
-        self._sched_cache = IdentityMemo()
         # Per-run shared additive identity (scaled mode), so every node
         # starts from the same zero object.
         self._zero_cache = IdentityMemo()
@@ -244,38 +607,30 @@ class FractionalPackingMachine(Machine):
             if ctx.degree > ctx.require_global("k"):
                 raise ValueError(f"subset degree {ctx.degree} exceeds k")
             r = zero + w  # w/1 in this run's arithmetic
-            return _SubsetState(idx=0, w=w, r=r, zero=zero)
+            return _SubsetState(idx=0, w=w, r=r, zero=zero, prog=self._program(ctx))
         if role == "element":
             if ctx.degree > ctx.require_global("f"):
                 raise ValueError(f"element degree {ctx.degree} exceeds f")
             if ctx.degree == 0:
                 raise ValueError("element with no subsets: instance infeasible")
-            return _ElementState(idx=0, y=zero)
+            return _ElementState(idx=0, y=zero, prog=self._program(ctx))
         raise ValueError(f"node input must declare role subset/element, got {role!r}")
 
-    def _schedule(self, ctx: LocalContext) -> Tuple[Tuple, ...]:
-        return self._sched_cache.get_or_compute(
-            ctx.globals,
-            lambda: build_fp_schedule(
-                ctx.require_global("f"),
-                ctx.require_global("k"),
-                ctx.require_global("W"),
-            ),
+    @staticmethod
+    def _program(ctx: LocalContext) -> _Program:
+        return _fp_program(
+            ctx.require_global("f"),
+            ctx.require_global("k"),
+            ctx.require_global("W"),
         )
 
-    def _params(self, ctx: LocalContext) -> Tuple[int, int, int, int]:
-        f = ctx.require_global("f")
-        k = ctx.require_global("k")
-        W = ctx.require_global("W")
-        return f, k, W, fp_out_degree_bound(f, k)
-
     def halted(self, ctx: LocalContext, state) -> bool:
-        return state.idx >= len(self._schedule(ctx))
+        return state.idx >= state.prog.length
 
     def output(self, ctx: LocalContext, state) -> Dict[str, Any]:
         # Outputs are the external contract: always plain Fractions,
         # whichever internal arithmetic produced them.
-        if isinstance(state, _SubsetState):
+        if type(state) is _SubsetState:
             return {"role": "subset", "in_cover": not state.r, "weight": state.w}
         y = state.y
         return {
@@ -285,206 +640,31 @@ class FractionalPackingMachine(Machine):
             "colour": state.c,
         }
 
-    # -- emit ----------------------------------------------------------
+    # -- hooks: one table lookup and one call --------------------------
 
     def emit(self, ctx: LocalContext, state) -> Any:
-        schedule = self._schedule(ctx)
-        if state.idx >= len(schedule):
+        prog = state.prog
+        idx = state.idx
+        if idx >= prog.length:
             return None
-        tag = schedule[state.idx]
-        kind = tag[0]
-        is_subset = isinstance(state, _SubsetState)
-
-        if kind in ("sat_y", "sync_y"):
-            return None if is_subset else state.y
-        if kind in ("sat_r", "sync_r"):
-            return state.r if is_subset else None
-        if kind == "sat_m":
-            if is_subset:
-                return None
-            return bool(state.in_uyi)
-        if kind == "sat_x":
-            if is_subset:
-                return state.x_by_colour.get(tag[2])
-            return None
-        if kind == "sat_p":
-            if is_subset:
-                return None
-            return state.p if state.in_uyi else None
-        if kind == "wcv_elem":
-            if is_subset or state.saturated:
-                return None
-            return ("triplet", state.cprime, state.c, state.p)
-        if kind == "wcv_subset":
-            return state.wcv_relay if is_subset else None
-        if kind == "tr_elem":
-            if is_subset or state.saturated:
-                return None
-            return ("colour", state.c3)
-        if kind == "tr_subset":
-            return state.tr_relay if is_subset else None
-        raise AssertionError(f"unknown schedule tag {tag!r}")
-
-    # -- step ----------------------------------------------------------
+        if type(state) is _SubsetState:
+            handler = prog.subset_emit[idx]
+        else:
+            handler = prog.element_emit[idx]
+        return None if handler is None else handler(state)
 
     def step(self, ctx: LocalContext, state, inbox: Sequence[Any]):
-        schedule = self._schedule(ctx)
-        if state.idx >= len(schedule):
+        prog = state.prog
+        idx = state.idx
+        if idx >= prog.length:
             return state
-        tag = schedule[state.idx]
-        st = state.clone()
-        if isinstance(st, _SubsetState):
-            self._subset_step(ctx, st, tag, inbox)
+        if type(state) is _SubsetState:
+            handler = prog.subset_step[idx]
         else:
-            self._element_step(ctx, st, tag, inbox)
-        st.idx += 1
-        return st
-
-    # -- subset behaviour ----------------------------------------------
-
-    def _subset_step(
-        self, ctx: LocalContext, st: _SubsetState, tag: Tuple, inbox: Sequence[Any]
-    ) -> None:
-        kind = tag[0]
-
-        if kind in ("sat_y", "sync_y"):
-            total = sum((m for m in inbox if m is not None), st.zero)
-            st.r = st.w - total
-            if st.r < 0:
-                raise AssertionError("fractional packing infeasible: y[s] > w_s")
-            if kind == "sat_y" and tag[2] == 0:
-                # New iteration: forget the previous iteration's offers.
-                st.x_by_colour = {}
-                st.q_by_colour = {}
-
-        elif kind == "sat_m":
-            i = tag[2]
-            count = sum(1 for m in inbox if m is True)
-            if count > 0 and st.r > 0:
-                st.x_by_colour[i] = st.r / count
-            # (If r == 0 the subset is saturated; its neighbours already
-            # saw r == 0 in sat_r and left U_yi, so count == 0.)
-
-        elif kind == "sat_p":
-            i = tag[2]
-            values = [m for m in inbox if m is not None]
-            if values and i in st.x_by_colour:
-                st.q_by_colour[i] = min(values)
-
-        elif kind == "wcv_elem":
-            # Build the relay set of Section 4.5 step (ii).
-            relay = set()
-            for m in inbox:
-                if m is None:
-                    continue
-                _tag, cprime_v, i, p_v = m
-                if st.q_by_colour.get(i) == p_v and i in st.x_by_colour:
-                    relay.add(("wcv", cprime_v, i, st.x_by_colour[i]))
-            st.wcv_relay = tuple(sorted(relay))
-
-        elif kind == "tr_elem":
-            colours = sorted(m[1] for m in inbox if m is not None)
-            st.tr_relay = ("colours", tuple(colours))
-
-        elif kind in ("sat_r", "sat_x", "sync_r", "wcv_subset", "tr_subset"):
-            pass  # subset only talks in these rounds
-
-        else:
-            raise AssertionError(f"unknown schedule tag {tag!r}")
-
-    # -- element behaviour -----------------------------------------------
-
-    def _element_step(
-        self, ctx: LocalContext, st: _ElementState, tag: Tuple, inbox: Sequence[Any]
-    ) -> None:
-        kind = tag[0]
-        f, k, W, D = self._params(ctx)
-
-        if kind in ("sat_r", "sync_r"):
-            residuals = [m for m in inbox if m is not None]
-            if len(residuals) != ctx.degree:
-                raise AssertionError("element missed a residual broadcast")
-            st.saturated = any(r == 0 for r in residuals)
-            if kind == "sat_r":
-                st.in_uyi = (not st.saturated) and (st.c == tag[2])
-            else:
-                # Iteration boundary: set up the colouring phase.
-                st.in_uyi = False
-                if not st.saturated:
-                    if st.p is None:
-                        raise AssertionError(
-                            "unsaturated element reached the colouring phase "
-                            "without a p-value"
-                        )
-                    st.cprime = encode_p_value(st.p, k, W, D)
-                else:
-                    st.cprime = None
-
-        elif kind == "sat_x":
-            if st.in_uyi:
-                offers = [m for m in inbox if m is not None]
-                if len(offers) != ctx.degree:
-                    raise AssertionError(
-                        "a neighbour of a U_yi member made no offer "
-                        "(it must be in S'; state desync)"
-                    )
-                st.p = min(offers)
-
-        elif kind == "sat_p":
-            if st.in_uyi:
-                st.y += st.p
-
-        elif kind == "wcv_subset":
-            if st.saturated:
-                st.cprime = None
-            elif st.cprime is not None:
-                received = set()
-                for m in inbox:
-                    if m is None:
-                        continue
-                    received.update(m)  # each subset relays a tuple of triplets
-                L = {
-                    cprime_v
-                    for (_tag, cprime_v, i, x) in received
-                    if i == st.c and x == st.p and cprime_v != st.cprime
-                }
-                pseudo = min(L) if L else cv_pseudo_parent(st.cprime)
-                st.cprime = cv_step_colour(st.cprime, pseudo)
-                if tag[2] == self._last_wcv_step(ctx):
-                    # c2 in {0..5}; combine with the old colour: c3 = 6c + c2.
-                    st.c3 = 6 * st.c + st.cprime
-
-        elif kind == "tr_subset":
-            if not st.saturated:
-                target = tag[2]
-                if st.c3 == target:
-                    banned = set()
-                    for m in inbox:
-                        if m is None:
-                            continue
-                        banned.update(c for c in m[1] if c != target)
-                    st.c3 = next(
-                        c for c in range(D + 1) if c not in banned
-                    )
-                if target == D + 1:  # last elimination of this iteration
-                    if st.c3 > D:
-                        raise AssertionError("trivial colour reduction incomplete")
-                    st.c = st.c3
-
-        elif kind in ("sat_y", "sync_y", "sat_m", "wcv_elem", "tr_elem"):
-            pass  # element only talks in these rounds
-
-        else:
-            raise AssertionError(f"unknown schedule tag {tag!r}")
-
-    @lru_cache(maxsize=None)
-    def _last_wcv_step_cached(self, f: int, k: int, W: int) -> int:
-        D = fp_out_degree_bound(f, k)
-        return cv_schedule_length(chi_fractional_packing(k, W, D) + 1) - 1
-
-    def _last_wcv_step(self, ctx: LocalContext) -> int:
-        f, k, W, _D = self._params(ctx)
-        return self._last_wcv_step_cached(f, k, W)
+            handler = prog.element_step[idx]
+        if handler is None:
+            return state.evolve(idx + 1)
+        return handler(ctx, state, inbox)
 
 
 # ----------------------------------------------------------------------

@@ -138,8 +138,9 @@ DYNAMIC_MODES = ("incremental", "scratch")
 #: Section 5 machine pickles a hash-consed history-id table next to
 #: its id-keyed replay memo.  Version 4: history columns end at each
 #: node's quiescence round, which the history records, and silent
-#: port rows are ``None``.
-SNAPSHOT_VERSION = 4
+#: port rows are ``None``.  Version 5: Section 4 states (set-cover and
+#: Section 5 sessions) carry a reference to their compiled program.
+SNAPSHOT_VERSION = 5
 
 _INF = math.inf
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -12,8 +15,11 @@ from repro.analysis.bounds import (
     fractional_packing_rounds_exact,
 )
 from repro.analysis.verify import check_fractional_packing, check_set_cover
+from repro._util.ordering import canonical_key
 from repro.baselines.exact import exact_min_set_cover
+from repro.core.broadcast_vc import BroadcastVertexCoverMachine, bvc_round_count
 from repro.core.fractional_packing import (
+    FractionalPackingMachine,
     build_fp_schedule,
     fp_out_degree_bound,
     fp_schedule_length,
@@ -27,6 +33,7 @@ from repro.graphs.setcover import (
     vc_to_setcover,
 )
 from repro.graphs import families
+from repro.simulator.runtime import run, run_on_setcover
 from tests.conftest import setcover_instances
 
 
@@ -92,9 +99,6 @@ class TestFigure1:
             # phase of iteration 0 (rounds 1..5) is complete.
             if round_index == 5:
                 captured["states"] = [s.clone() for s in states]
-
-        from repro.simulator.runtime import run_on_setcover
-        from repro.core.fractional_packing import FractionalPackingMachine
 
         run_on_setcover(
             inst,
@@ -263,3 +267,155 @@ class TestSetCoverApi:
         assert res.is_cover()
         assert res.certificate_ratio <= 1
         assert res.cover_weight == res.instance.cover_weight(res.cover)
+
+
+# ----------------------------------------------------------------------
+# Pinned message stream
+# ----------------------------------------------------------------------
+#
+# ``run_reference`` drives the same machine as ``run``, so the engine
+# differential suite cannot catch a rewrite of the machine that changes
+# its behaviour under both engines.  These digests were recorded from
+# the original string-dispatched machine; every rewrite of the Section 4
+# hot path must reproduce them.  A digest covers, per round, the
+# canonical keys of every node's payload (taken with an observer), then
+# the per-round bit counts and the outputs.
+
+
+def _stream_case(i):
+    """Seeded instance ``i`` of the pinned set.
+
+    The requested bounds cycle through f in {2, 3}, k in {2, 3, 4} and
+    W in {1, 4, 8}; the instance's own f, k and W are the realised
+    maxima, which may be smaller.
+    """
+    k = (2, 3, 4)[i % 3]
+    n_subsets = 3 + i % 4
+    return random_instance(
+        n_subsets=n_subsets,
+        n_elements=min(n_subsets * k, 4 + i % 5),
+        k=k,
+        f=(2, 3)[i % 2],
+        W=(1, 4, 8)[(i + i // 6) % 3],
+        seed=100 + i,
+    )
+
+
+def _stream_digest(graph, machine, **kwargs):
+    digest = hashlib.sha256()
+
+    def observer(round_index, states, payloads):
+        keys = [canonical_key(p) for p in payloads]
+        digest.update(repr((round_index, keys)).encode())
+
+    res = run(graph, machine, observer=observer, **kwargs)
+    digest.update(repr(res.per_round_bits).encode())
+    digest.update(repr(res.outputs).encode())
+    digest.update(repr((res.rounds, res.messages_sent, res.message_bits)).encode())
+    return digest.hexdigest()
+
+
+def _setcover_digest(inst, arithmetic):
+    return _stream_digest(
+        inst.to_bipartite_graph(),
+        FractionalPackingMachine(arithmetic=arithmetic),
+        inputs=inst.node_inputs(),
+        globals_map=inst.global_params(),
+        max_rounds=fp_schedule_length(inst.f, inst.k, inst.W),
+    )
+
+
+_BVC_STREAM_CASES = [
+    (lambda: families.path_graph(4), [1, 3, 2, 1]),
+    (lambda: families.cycle_graph(5), [2, 1, 2, 2, 1]),
+]
+
+
+def _bvc_digest(case, arithmetic):
+    make_graph, weights = _BVC_STREAM_CASES[case]
+    g = make_graph()
+    W = max(weights)
+    return _stream_digest(
+        g,
+        BroadcastVertexCoverMachine(arithmetic=arithmetic),
+        inputs=weights,
+        globals_map={"delta": g.max_degree, "W": W},
+        max_rounds=bvc_round_count(g.max_degree, W),
+    )
+
+
+_SETCOVER_STREAM_DIGESTS = [
+    "2e569b80824ce8d3797fa8ce3bdf65e0e18c24fa537b142531fbe2e054f4148c",
+    "de7e23949bb49f8abd8fd7d619913c06080207b1fd68a062e1b60abfe276c0db",
+    "df5cfbf1b1945caccd8b959bbf24bc7cdaa936aba958af94fca8149199c401d5",
+    "34a7ed8c9349e2abf8926bd5d35d0d66dc4cc5515d44116a48d93ed36b5d2c86",
+    "db4eb178be1a7b3507157083c25491a976e3dfc7bb47611c49e41d780f0d6231",
+    "b5a989811e2e5abb857b1766fa7ebb02e4a3e6e2caa1110f84ebaeb9ce6cfaf6",
+    "3b974b23c6597744dc2899c3ee79199e4179af517207b187ad9ee71598020deb",
+    "df7879e18c0de2eeded145a5691e21981ce4ef1e0db24f9f50a6fdffa74e00ab",
+    "1f6b88701ca4be1230abd3c7933cb900770d43e2db65e4612308a8768bf5cc5e",
+    "85e863b005373063f4fefc66fa7b988b051ed3a687d33cfd8fdd4fc1fe75c8ce",
+    "f1d0bbb50591bb298026315f89893d6bc3ba580371ac466c242a42edb765c728",
+    "dbda981ae8e6232e5e6ad3f075c75f5f4c7c99c28703822fe9e6ea3713965f64",
+]
+
+_FIGURE1_STREAM_DIGEST = (
+    "ae58bf1bf05c0eafb9d51a332f857011f4654b3a37d1ea769bbc4f3f20b992fd"
+)
+
+_BVC_STREAM_DIGESTS = [
+    "656c0e9542ef7c19bf6d320080759e6a56820e50c4fbc77a5576e570175b5787",
+    "46c6e839807661b4a3cc6bfc9ac5a45867e06916022c7bcfdbd008f7f1615ba3",
+]
+
+
+class TestMessageStreamPinned:
+    @pytest.mark.parametrize("arithmetic", FractionalPackingMachine.ARITHMETIC_MODES)
+    @pytest.mark.parametrize("i", range(12))
+    def test_random_instances(self, i, arithmetic):
+        assert _setcover_digest(_stream_case(i), arithmetic) == (
+            _SETCOVER_STREAM_DIGESTS[i]
+        )
+
+    @pytest.mark.parametrize("arithmetic", FractionalPackingMachine.ARITHMETIC_MODES)
+    def test_figure1(self, arithmetic):
+        assert _setcover_digest(figure1_instance(), arithmetic) == (
+            _FIGURE1_STREAM_DIGEST
+        )
+
+    @pytest.mark.parametrize("arithmetic", FractionalPackingMachine.ARITHMETIC_MODES)
+    @pytest.mark.parametrize("case", range(len(_BVC_STREAM_CASES)))
+    def test_broadcast_vertex_cover(self, case, arithmetic):
+        assert _bvc_digest(case, arithmetic) == _BVC_STREAM_DIGESTS[case]
+
+
+class TestMachineLifetime:
+    """A machine must not outlive its last reference: per-parameter
+    caches belong to the module, never to a cache keyed on the machine."""
+
+    def test_machine_is_collectable_after_a_run(self):
+        inst = figure1_instance()
+        machine = FractionalPackingMachine()
+        run_on_setcover(
+            inst, machine, max_rounds=fp_schedule_length(inst.f, inst.k, inst.W)
+        )
+        ref = weakref.ref(machine)
+        del machine
+        gc.collect()
+        assert ref() is None
+
+    def test_broadcast_inner_machine_is_collectable(self):
+        g = families.cycle_graph(5)
+        weights = [2, 1, 2, 2, 1]
+        machine = BroadcastVertexCoverMachine()
+        run(
+            g,
+            machine,
+            inputs=weights,
+            globals_map={"delta": g.max_degree, "W": max(weights)},
+            max_rounds=bvc_round_count(g.max_degree, max(weights)),
+        )
+        ref = weakref.ref(machine._inner)
+        del machine
+        gc.collect()
+        assert ref() is None

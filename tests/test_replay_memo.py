@@ -42,6 +42,8 @@ from repro._util.memo import (
     note_extension,
     validate_replay,
 )
+from repro._util import memo as memo_mod
+from repro._util import ordering, sizes
 from repro._util.ordering import canonical_key
 from repro._util.sizes import message_size_bits
 from repro.core.broadcast_vc import BroadcastVertexCoverMachine, bvc_round_count
@@ -383,19 +385,44 @@ def test_note_extension_registry():
     assert extension_parent(parent + (("d", 4), ("e", 5))) is None
 
 
-def test_extension_metering_matches_full_scan():
+def test_extension_metering_matches_full_scan(monkeypatch):
     """Sizes/keys derived through the extension chain must equal the
-    plain full scan of a content-equal, never-registered tuple."""
+    plain full scan of a content-equal, never-registered tuple.
+
+    The second pass shrinks the size, key and extension memos so the
+    40-round chain spans many more than two of their generations.
+    Messages are then flat and the twin is a plain copy, so a round
+    makes two puts per memo and, the limit being odd, some generation
+    swaps fall between a parent and its child: the parent metered and
+    keyed one round ago must still be cached when the child is derived."""
+    _check_extension_chain(limit=None)
+    limit = 5
+    for memo in (sizes._SIZE_MEMO, ordering._KEY_MEMO, memo_mod._EXTENSIONS):
+        monkeypatch.setattr(memo, "limit", limit)
+    _check_extension_chain(limit)
+    assert 40 > 2 * limit
+
+
+def _check_extension_chain(limit):
     rng = random.Random(9)
     history = ()
     for i in range(40):
-        msg = (f"m{i}", rng.randrange(1000), (True, None, rng.randrange(7)))
+        if limit is None:
+            msg = (f"m{i}", rng.randrange(1000), (True, None, rng.randrange(7)))
+        else:
+            msg = Fraction(rng.randrange(1000), rng.randrange(1, 7))
         new = history + (msg,)
         note_extension(history, new)
+        if limit is not None and i > 0:
+            assert sizes._SIZE_MEMO.get(history) is not None
+            assert ordering._KEY_MEMO.get(history) is not None
         history = new
-        # A content-equal tuple built without registration: forces the
-        # full scan on fresh objects.
-        twin = tuple((a, b, (c, d, e)) for (a, b, (c, d, e)) in history)
+        if limit is None:
+            # A content-equal tuple built without registration: forces
+            # the full scan on fresh objects.
+            twin = tuple((a, b, (c, d, e)) for (a, b, (c, d, e)) in history)
+        else:
+            twin = tuple(list(history))
         assert twin == history and twin is not history
         assert message_size_bits(history) == message_size_bits(twin)
         assert canonical_key(history) == canonical_key(twin)

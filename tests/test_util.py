@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro._util.identity import IdentityMemo
 from repro._util.logstar import (
     ilog2_ceil,
     ilog2_floor,
@@ -276,3 +279,70 @@ class TestOrderingSizesCrossCheck:
         # differ; the caches must not conflate them.
         assert message_size_bits((True,)) != message_size_bits((1,))
         assert message_size_bits((Fraction(1),)) != message_size_bits((1,))
+
+
+class _Key:
+    """A weak-referenceable key object."""
+
+
+class TestIdentityMemo:
+    LIMIT = 8
+
+    def _filled(self, n):
+        memo = IdentityMemo(self.LIMIT)
+        keys = [_Key() for _ in range(n)]
+        for i, key in enumerate(keys):
+            memo.put(key, i)
+        return memo, keys
+
+    def test_entry_before_the_swap_survives_it(self):
+        # The (limit + 1)-th put starts a new generation; the entry put
+        # just before it is still served.
+        memo, keys = self._filled(self.LIMIT + 1)
+        assert memo.get(keys[self.LIMIT - 1]) == self.LIMIT - 1
+        assert memo.get(keys[self.LIMIT]) == self.LIMIT
+        assert memo.get(keys[0]) == 0
+
+    def test_entry_misses_two_generations_later(self):
+        memo, keys = self._filled(self.LIMIT + 1)
+        for i in range(2 * self.LIMIT):
+            memo.put(_Key(), i)
+        assert memo.get(keys[self.LIMIT - 1]) is None
+
+    def test_most_recent_limit_puts_always_hit(self):
+        memo = IdentityMemo(self.LIMIT)
+        keys = []
+        for i in range(5 * self.LIMIT + 3):
+            keys.append(_Key())
+            memo.put(keys[-1], i)
+            recent = keys[-self.LIMIT:]
+            assert [memo.get(k) for k in recent] == list(
+                range(i + 1 - len(recent), i + 1)
+            )
+
+    def test_at_most_two_generations_stay_pinned(self):
+        memo, keys = self._filled(5 * self.LIMIT)
+        refs = [weakref.ref(k) for k in keys]
+        del keys
+        gc.collect()
+        alive = sum(ref() is not None for ref in refs)
+        assert self.LIMIT < alive <= 2 * self.LIMIT
+
+    def test_identity_guard_holds_across_a_swap(self):
+        memo = IdentityMemo(self.LIMIT)
+        key, other = _Key(), _Key()
+        # A stale entry filed under another object's id (what a recycled
+        # id would look like) is never served, in either generation.
+        memo._current[id(other)] = (key, "stale")
+        assert memo.get(other) is None
+        for i in range(self.LIMIT):
+            memo.put(_Key(), i)
+        assert id(other) in memo._previous
+        assert memo.get(other) is None
+        # Equal but distinct objects never share an entry.
+        a, b = (1, "x"), tuple([1, "x"])
+        assert a == b and a is not b
+        memo.put(a, "a")
+        for i in range(self.LIMIT):
+            memo.put(_Key(), i)
+        assert memo.get(a) == "a" and memo.get(b) is None
