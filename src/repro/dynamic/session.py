@@ -86,7 +86,6 @@ from __future__ import annotations
 
 import math
 import pickle
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (
@@ -101,7 +100,6 @@ from typing import (
 )
 
 from repro import obs
-from repro._util.memo import GenerationalMemo
 from repro._util.ordering import canonical_key
 from repro.obs import EV_DYNAMIC_BATCH, EV_ENGINE_FALLBACK, SPAN_BATCH
 from repro._util.sizes import message_size_bits
@@ -115,6 +113,7 @@ from repro.simulator.runtime import (
     RunResult,
     _bad_arity,
     _make_contexts,
+    _node_context,
     run,
 )
 
@@ -224,6 +223,26 @@ def _port_row(row: Any) -> Any:
     return None
 
 
+def _row_cost(
+    row: Any, deg: int, port_model: bool, meter_bits: bool
+) -> Tuple[int, int]:
+    """``(messages, bits)`` one recorded emission row put on the wire
+    (bits 0 unless ``meter_bits``): a port row pays per non-``None``
+    entry, a broadcast payload once per link of its ``deg``."""
+    if row is None:
+        return 0, 0
+    if port_model:
+        c = 0
+        b = 0
+        for msg in row:
+            if msg is not None:
+                c += 1
+                if meter_bits:
+                    b += message_size_bits(msg)
+        return c, b
+    return deg, deg * message_size_bits(row) if meter_bits else 0
+
+
 def _record_run(
     graph: PortNumberedGraph,
     machine: Machine,
@@ -311,14 +330,7 @@ def _record_run(
         round_msgs = [0] * R
         for v in range(n):
             for t, row in enumerate(out_cols[v]):
-                if row is None:
-                    continue
-                if port_model:
-                    for msg in row:
-                        if msg is not None:
-                            round_msgs[t] += 1
-                else:
-                    round_msgs[t] += degs[v]
+                round_msgs[t] += _row_cost(row, degs[v], port_model, False)[0]
     # Per-round bits are exactly what the engine metered.
     round_bits = list(result.per_round_bits) if meter.meters_bits else []
     history = _SessionHistory(
@@ -376,7 +388,7 @@ def _remap_history(
     meter = Metering.of(metering)
     count_msgs = meter.counts_messages
     meter_bits = meter.meters_bits
-    size_of = message_size_bits
+    port_model = model == PORT_NUMBERING
     out_cols = hist.out
     halt_counts = hist.halt_counts
     round_msgs = hist.round_msgs
@@ -400,19 +412,7 @@ def _remap_history(
             if count_msgs:
                 d_rec = hist.deg[old]
                 for t, row in enumerate(out_cols[old]):
-                    if row is None:
-                        continue
-                    if model == PORT_NUMBERING:
-                        cnt = 0
-                        bits = 0
-                        for msg in row:
-                            if msg is not None:
-                                cnt += 1
-                                if meter_bits:
-                                    bits += size_of(msg)
-                    else:
-                        cnt = d_rec
-                        bits = d_rec * size_of(row) if meter_bits else 0
+                    cnt, bits = _row_cost(row, d_rec, port_model, meter_bits)
                     if cnt:
                         round_msgs[t] -= cnt
                         if meter_bits:
@@ -476,10 +476,14 @@ def _cone_replay(
     implements exactly the engine semantics of
     :func:`repro.simulator.runtime.run` — halted nodes silent, a node
     halting after round ``t`` still delivers its round-``t`` messages,
-    broadcast inboxes are the content-sorted neighbour payloads.  Like
-    ``run_reference``, this loop deliberately *mirrors* the fast
-    engine rather than sharing code with it; the incremental ≡ scratch
-    differential suites are the drift alarm.
+    broadcast inboxes are the content-sorted neighbour payloads.  One
+    step loop serves both models; the inbox reader, called once per
+    round, is the only model-specific part.  It shares the node contexts with the engine
+    (``_node_context``) but not the engine's round loop: the engine
+    pushes each round's messages into its receivers' inboxes, while
+    the replay pulls a cone node's inbox from a mix of fresh and
+    recorded rows, and keeps its cone state in dicts.  The incremental
+    ≡ scratch differential suites are the drift alarm.
 
     Returns ``(cone_size, node_rounds)`` — nodes re-executed and the
     total (node, round) step count, the light cone's area.
@@ -487,9 +491,7 @@ def _cone_replay(
     meter = Metering.of(metering)
     count_msgs = meter.counts_messages
     meter_bits = meter.meters_bits
-    size_of = message_size_bits
-    model = machine.model
-    port_model = model == PORT_NUMBERING
+    port_model = machine.model == PORT_NUMBERING
     out_cols = hist.out
     st_cols = hist.st
     halt_round = hist.halt_round
@@ -513,15 +515,9 @@ def _cone_replay(
             max_act = a
 
     g = dict(globals_map or {})
-    ctxs: Dict[int, LocalContext] = {}
-    for v in cone:
-        rng = random.Random(f"node-rng:{seed}:{v}") if seed is not None else None
-        ctxs[v] = LocalContext(
-            degree=topo.degree(v),
-            input=None if inputs is None else inputs[v],
-            globals=g,
-            rng=rng,
-        )
+    ctxs: Dict[int, LocalContext] = {
+        v: _node_context(v, topo.degree(v), inputs, g, seed) for v in cone
+    }
 
     emit = machine.emit
     step = machine.step
@@ -534,20 +530,43 @@ def _cone_replay(
         rows = out_cols[u]
         return rows[t] if t < len(rows) else None
 
-    def row_meter(row: Any, deg: int) -> Tuple[int, int]:
-        """(messages, bits) one emission row contributes to round totals."""
-        if row is None:
-            return 0, 0
-        if port_model:
-            c = 0
-            b = 0
-            for msg in row:
-                if msg is not None:
-                    c += 1
-                    if meter_bits:
-                        b += size_of(msg)
-            return c, b
-        return deg, deg * size_of(row) if meter_bits else 0
+    def sent_row(u: int, t: int) -> Any:
+        """``u``'s round-``t`` emission in the new run: fresh once the
+        wavefront has reached ``u``, the recording otherwise."""
+        if u in cone and cone[u] <= t:
+            return cur_rows.get(u)
+        return old_row(u, t)
+
+    def port_inboxes(live: List[int], t: int) -> List[List[Any]]:
+        inboxes = []
+        for v in live:
+            inbox = []
+            for (u, q) in topo.ports(v):
+                row = sent_row(u, t)
+                inbox.append(None if row is None else row[q])
+            inboxes.append(inbox)
+        return inboxes
+
+    def broadcast_inboxes(live: List[int], t: int) -> List[tuple]:
+        payloads: Dict[int, Any] = {}
+        keys: Dict[int, Any] = {}
+
+        def key_of(u: int) -> Any:
+            if u not in keys:
+                payloads[u] = p = sent_row(u, t)
+                keys[u] = canonical_key(p)
+            return keys[u]
+
+        # Content-sorted multisets of neighbour payloads; the stable
+        # sort over the canonical neighbour order equals the engine's
+        # sender-anonymous inbox.
+        return [
+            tuple(payloads[u] for u in sorted(topo.neighbours(v), key=key_of))
+            for v in live
+        ]
+
+    # The round's inboxes, one per live cone node, in order.
+    read_inboxes = port_inboxes if port_model else broadcast_inboxes
 
     def bump(t: int, dm: int, db: int) -> None:
         while len(round_msgs) <= t:
@@ -566,7 +585,7 @@ def _cone_replay(
         rows = out_cols[v]
         deg = rec_deg[v]
         for t in range(start_t, len(rows)):
-            c, b = row_meter(rows[t], deg)
+            c, b = _row_cost(rows[t], deg, port_model, meter_bits)
             if c or b:
                 bump(t, -c, -b)
 
@@ -635,66 +654,21 @@ def _cone_replay(
             cur_rows[v] = out
             fresh_out[v].append(out)
             if count_msgs:
-                oc, ob = row_meter(old_row(v, t), rec_deg[v])
-                nc, nb = row_meter(out, ctxs[v].degree)
+                oc, ob = _row_cost(old_row(v, t), rec_deg[v], port_model, meter_bits)
+                nc, nb = _row_cost(out, ctxs[v].degree, port_model, meter_bits)
                 if nc != oc or nb != ob:
                     bump(t, nc - oc, nb - ob)
 
         # -- deliver and step the live cone.
-        if port_model:
-            next_live: List[int] = []
-            for v in live:
-                inbox = []
-                for (u, q) in topo.ports(v):
-                    if u in cone and cone[u] <= t:
-                        row = cur_rows.get(u)
-                    else:
-                        row = old_row(u, t)
-                    inbox.append(None if row is None else row[q])
-                st = step(ctxs[v], states[v], inbox)
-                node_rounds += 1
-                states[v] = st
-                if settle(v, t + 1):
-                    fresh_st[v].append(st)
-                    next_live.append(v)
-            live = next_live
-        else:
-            payloads: Dict[int, Any] = {}
-            keys: Dict[int, Any] = {}
-
-            def payload_of(u: int) -> Any:
-                if u in payloads:
-                    return payloads[u]
-                if u in cone and cone[u] <= t:
-                    p = cur_rows.get(u)
-                else:
-                    p = old_row(u, t)
-                payloads[u] = p
-                return p
-
-            def key_of(u: int) -> Any:
-                k = keys.get(u)
-                if k is None:
-                    k = canonical_key(payload_of(u))
-                    keys[u] = k
-                return k
-
-            next_live = []
-            for v in live:
-                # Content-sorted multiset of neighbour payloads; the
-                # stable sort over the canonical neighbour order equals
-                # the engine's sender-anonymous inbox.
-                inbox = tuple(
-                    payload_of(u)
-                    for u in sorted(topo.neighbours(v), key=key_of)
-                )
-                st = step(ctxs[v], states[v], inbox)
-                node_rounds += 1
-                states[v] = st
-                if settle(v, t + 1):
-                    fresh_st[v].append(st)
-                    next_live.append(v)
-            live = next_live
+        node_rounds += len(live)
+        next_live: List[int] = []
+        for v, inbox in zip(live, read_inboxes(live, t)):
+            st = step(ctxs[v], states[v], inbox)
+            states[v] = st
+            if settle(v, t + 1):
+                fresh_st[v].append(st)
+                next_live.append(v)
+        live = next_live
         t += 1
 
     # -- halt histogram: move every cone node old -> new.
@@ -856,11 +830,9 @@ class DynamicRun:
         self._batches = 0
         self._view_cache: Optional[Tuple[int, CoverView]] = None
         self.stats: List[BatchStats] = []
-        # One generation of run history per batch; put() retires
-        # everything older than the previous batch automatically.
-        self._memo: Optional[GenerationalMemo] = (
-            GenerationalMemo() if self.mode == "incremental" else None
-        )
+        # The recorded history of the standing result (incremental
+        # sessions only): the next batch's warm restart replays from it.
+        self._history: Optional[_SessionHistory] = None
         self._solve_full()
 
     # -- public state ---------------------------------------------------
@@ -919,13 +891,12 @@ class DynamicRun:
         """Solve the whole current graph; returns the node count
         re-executed (always n here)."""
         graph = self.graph
-        if self._memo is None:
+        if self._topo is None:
             self._result = run(graph, self._machine, **self._run_kwargs())
         else:
-            self._result, history = _record_run(
+            self._result, self._history = _record_run(
                 graph, self._machine, **self._run_kwargs()
             )
-            self._memo.put(self._generation, "history", history)
         return graph.n
 
     def apply(self, edits: Sequence[GraphEdit]) -> BatchStats:
@@ -986,13 +957,8 @@ class DynamicRun:
             raise
         self._generation += 1
         prev_result = self._result
-        hist = (
-            self._memo.get(self._generation - 1, "history")
-            if self._memo is not None
-            else None
-        )
         try:
-            repaired, cone_rounds = self._repair(ob, hist, prev_result)
+            repaired, cone_rounds = self._repair(ob, self._history, prev_result)
         except Exception as exc:
             # The batch is committed; a repair failure must not leave a
             # half-spliced session.  Drop the (possibly corrupt)
@@ -1005,7 +971,7 @@ class DynamicRun:
                     wanted="incremental",
                     reason=f"{type(exc).__name__}: {exc}",
                 )
-            self._memo = GenerationalMemo()
+            self._history = None
             repaired = self._solve_full()
             cone_rounds = 0
         return self._finish_batch(edits, len(ob.touched), repaired, cone_rounds, t0)
@@ -1030,8 +996,9 @@ class DynamicRun:
     ) -> Tuple[int, int]:
         n = self._topo.n
         if hist is None or not prev_result.all_halted:
-            # Evicted history, or the previous run was cut off by
-            # max_rounds (replay would be unsound): full recorded solve.
+            # No history to replay (a failed re-solve dropped it), or
+            # the previous run was cut off by max_rounds (replay would
+            # be unsound): full recorded solve.
             return self._solve_full(), 0
         seeds = set(ob.touched)
         if not ob.identity:
@@ -1058,7 +1025,6 @@ class DynamicRun:
             prev_result,
             dist,
         )
-        self._memo.put(self._generation, "history", hist)
         return cone, node_rounds
 
     def _finish_batch(
@@ -1119,15 +1085,9 @@ class DynamicRun:
         edge set (the graph is rebuilt canonically on restore), the
         machine (with its warm memo caches — pickling them is pinned by
         ``tests/test_parallel_backends.py``) and, for incremental
-        sessions, the current generation's session history out of the
-        :class:`GenerationalMemo`.  Versioned via
+        sessions, the recorded session history.  Versioned via
         :data:`SNAPSHOT_VERSION`; restored by :meth:`restore`.
         """
-        history = (
-            self._memo.get(self._generation, "history")
-            if self._memo is not None
-            else None
-        )
         if self._topo is not None:
             n, edges = self._topo.n, self._topo.edges_sorted()
         else:
@@ -1139,7 +1099,7 @@ class DynamicRun:
         # after.  Pickled after the edges, a §3 snapshot is ≈1.5× larger.
         payload = {
             "version": SNAPSHOT_VERSION,
-            "history": history,
+            "history": self._history,
             "result": self._result,
             "flow": self.flow,
             "mode": self.mode,
@@ -1206,13 +1166,7 @@ class DynamicRun:
         session._view_cache = None
         session.stats = list(payload["stats"])
         session._result = payload["result"]
-        session._memo = (
-            GenerationalMemo() if session.mode == "incremental" else None
-        )
-        if session._memo is not None and payload["history"] is not None:
-            session._memo.put(
-                session._generation, "history", payload["history"]
-            )
+        session._history = payload["history"]
         return session
 
     # -- cover readout ---------------------------------------------------

@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.dynamic import DynamicRun, RandomChurn, latency_summary
-from repro.obs import CTR_MEMO_HIT, CTR_MEMO_MISS, EV_DYNAMIC_BATCH
+from repro.obs import EV_DYNAMIC_BATCH
 from repro.experiments.common import ExperimentTable, parallel_map
 from repro.graphs import families
 from repro.graphs.weights import uniform_weights, unit_weights
@@ -59,7 +59,7 @@ def _churn_cell(cfg: Tuple[str, int, int, int, int, int]) -> Dict[str, Any]:
     always_cover = inc.is_cover()
     always_equal = True
     applied = 0
-    # A cell-local tracer: the memo and batch counters below are the
+    # A cell-local tracer: the batch count below is the
     # trace-derived view of the same stream (tracing never changes
     # results — the tests/test_obs.py contract).
     tracer = obs.Tracer(f"exp-churn rate {rate}")
@@ -81,7 +81,6 @@ def _churn_cell(cfg: Tuple[str, int, int, int, int, int]) -> Dict[str, Any]:
             always_cover = always_cover and view.covered
             worst_ratio = max(worst_ratio, view.certificate_ratio)
     stats = inc.stats
-    counters = tracer.counters
     return {
         "rate": rate,
         "batches": applied,
@@ -93,8 +92,6 @@ def _churn_cell(cfg: Tuple[str, int, int, int, int, int]) -> Dict[str, Any]:
         ),
         # per-batch repair wall clock, in the shared latency shape
         "latency_ms": latency_summary([s.wall_ms for s in stats]),
-        # trace-derived counters for the whole cell (both sessions)
-        "counters": counters,
         "traced_batches": len(tracer.events(EV_DYNAMIC_BATCH)),
         "final_weight": inc.cover_weight(),
         "worst_ratio": worst_ratio,
@@ -128,7 +125,6 @@ def run(
             "mean repaired nodes",
             "p50 latency (ms)",
             "p99 latency (ms)",
-            "memo hit / miss",
             "final cover weight",
             "worst certificate ratio",
             "covers valid",
@@ -150,10 +146,6 @@ def run(
                 "mean repaired nodes": round(cell["mean_nodes"], 1),
                 "p50 latency (ms)": round(cell["latency_ms"]["p50_ms"], 3),
                 "p99 latency (ms)": round(cell["latency_ms"]["p99_ms"], 3),
-                "memo hit / miss": (
-                    f"{cell['counters'].get(CTR_MEMO_HIT, 0)}"
-                    f"/{cell['counters'].get(CTR_MEMO_MISS, 0)}"
-                ),
                 "final cover weight": cell["final_weight"],
                 "worst certificate ratio": cell["worst_ratio"],
                 "covers valid": cell["always_cover"],

@@ -9,9 +9,15 @@ experiments of Section 5.
 
 Two engines implement the same semantics:
 
-* :func:`run` — the fast engine: CSR flat-array delivery over
-  preallocated, reused inbox buffers; halted nodes are skipped
-  entirely; per-round method lookups hoisted out of the loop.
+* :func:`run` — the fast engine: one round loop for both models
+  (fault hooks, stepping, halting, quiescence parking, the observer,
+  round spans) whose only model-specific part is a delivery strategy —
+  :class:`_PortWires` scatters port rows through the CSR targets into
+  preallocated, reused inboxes; :class:`_BroadcastWires` hands each
+  node its neighbours' payloads sorted by canonical key.  Halted and
+  parked nodes are skipped entirely.  Under ``engine="columnar"`` an
+  optional prefix runs a machine's leading rounds as whole-array
+  passes and the loop resumes at its round count.
 * :func:`run_reference` — the executable specification: a plain
   per-node, per-round loop with fresh allocations and no caches.
   ``tests/test_runtime_equivalence.py`` proves the two produce
@@ -226,6 +232,23 @@ class RunResult:
         return max(self.per_round_bits, default=0)
 
 
+def _node_context(
+    v: int,
+    degree: int,
+    inputs: Optional[Sequence[Any]],
+    g: Mapping[str, Any],
+    seed: Optional[int],
+) -> LocalContext:
+    """Node ``v``'s local view: its degree, its input, the shared
+    globals and, for seeded runs, its private random stream."""
+    return LocalContext(
+        degree=degree,
+        input=None if inputs is None else inputs[v],
+        globals=g,
+        rng=random.Random(f"node-rng:{seed}:{v}") if seed is not None else None,
+    )
+
+
 def _make_contexts(
     graph: PortNumberedGraph,
     inputs: Optional[Sequence[Any]],
@@ -235,18 +258,10 @@ def _make_contexts(
     if inputs is not None and len(inputs) != graph.n:
         raise ValueError(f"expected {graph.n} inputs, got {len(inputs)}")
     g = dict(globals_map or {})
-    ctxs = []
-    for v in graph.nodes():
-        rng = random.Random(f"node-rng:{seed}:{v}") if seed is not None else None
-        ctxs.append(
-            LocalContext(
-                degree=graph.degree(v),
-                input=None if inputs is None else inputs[v],
-                globals=g,
-                rng=rng,
-            )
-        )
-    return ctxs
+    return [
+        _node_context(v, graph.degree(v), inputs, g, seed)
+        for v in graph.nodes()
+    ]
 
 
 def _bad_arity(degree: int, emitted: int) -> ValueError:
@@ -327,43 +342,35 @@ def run(
     meter = Metering.of(metering)
     if replay is not None:
         machine = machine.with_replay(replay)
-    if machine.model == PORT_NUMBERING:
-        engine_fn = _run_fast_port
-    elif machine.model == BROADCAST:
-        engine_fn = _run_fast_broadcast
-    else:
+    wires_cls = _WIRES.get(machine.model)
+    if wires_cls is None:
         raise ValueError(f"unknown model {machine.model!r}")
 
-    result: Optional[RunResult] = None
     tr = obs.current()
     run_t0 = tr.now() if tr is not None else 0.0
     engine_used = "object"
     ctxs = _make_contexts(graph, inputs, globals_map, seed)
+    prefix = None
     if (
         engine == "columnar"
         and machine.model == PORT_NUMBERING
         and observer is None
         and fault_adversary is None
     ):
-        result = _run_columnar_port(graph, machine, ctxs, max_rounds, meter)
-        if result is not None:
+        prefix = _columnar_prefix(graph, machine, ctxs, max_rounds, meter)
+        if prefix is not None:
             engine_used = "columnar"
-    elif engine == "columnar" and tr is not None:
-        tr.event(
-            EV_ENGINE_FALLBACK,
-            wanted="columnar",
-            reason="columnar engine needs the port-numbering model "
-                   "with no observer or fault adversary",
+    elif engine == "columnar":
+        _columnar_fallback(
+            "columnar engine needs the port-numbering model "
+            "with no observer or fault adversary"
         )
-    if result is None:
-        states: List[Any] = [machine.start(ctxs[v]) for v in graph.nodes()]
-        halted: List[bool] = [
-            machine.halted(ctxs[v], states[v]) for v in graph.nodes()
-        ]
-        result = engine_fn(
-            graph, machine, ctxs, states, halted,
-            max_rounds, observer, fault_adversary, meter,
-        )
+    if prefix is None:
+        prefix = ([machine.start(ctx) for ctx in ctxs], 0, 0, [])
+    result = _run_fast(
+        graph, machine, ctxs, wires_cls, *prefix,
+        max_rounds, observer, fault_adversary, meter,
+    )
     if tr is not None:
         tr.event(
             EV_ENGINE_SELECTED,
@@ -381,23 +388,26 @@ def run(
     return result
 
 
-def _run_columnar_port(
+def _columnar_prefix(
     graph: PortNumberedGraph,
     machine: Machine,
     ctxs: List[LocalContext],
     max_rounds: int,
     meter: Metering,
-) -> Optional[RunResult]:
-    """The columnar engine, or ``None`` when this run cannot engage it.
+) -> Optional[Tuple[List[Any], int, int, List[int]]]:
+    """The columnar engine's leading rounds, or ``None`` when this run
+    cannot engage it.
 
     Runs the machine's declared leading rounds as whole-array passes
-    over a :class:`~repro.simulator.state_layout.StateLayout`, then
-    materialises per-node states and delegates the remaining rounds to
-    :func:`_run_fast_port`.  Covered rounds are port-uniform, so
-    delivery is the single gather ``values[targets]``; the gathered
-    inbox columns are handed to kernels *read-only* — the columnar
-    counterpart of the object engine's reused-buffer trap, made
-    impossible rather than documented.
+    over a :class:`~repro.simulator.state_layout.StateLayout` and
+    materialises per-node states; :func:`_run_fast` resumes from them
+    at the returned round count.  Returns ``(states, rounds,
+    messages_sent, per_round_bits)``.  Covered rounds are
+    port-uniform, so delivery is the single gather
+    ``values[targets]``; the gathered inbox columns are handed to
+    kernels *read-only* — the columnar counterpart of the object
+    engine's reused-buffer trap, made impossible rather than
+    documented.
     """
     if not state_layout.HAVE_NUMPY:
         _columnar_fallback("numpy is unavailable")
@@ -430,7 +440,6 @@ def _run_columnar_port(
     count_msgs = meter.counts_messages
     meter_bits = meter.meters_bits
     messages_sent = 0
-    message_bits = 0
     per_round_bits: List[int] = []
     tr = obs.current()
     phase_t0 = tr.now() if tr is not None else 0.0
@@ -448,9 +457,7 @@ def _run_columnar_port(
                     (message_size_bits(decode(u)) for u in uniq.tolist()),
                     dtype=np.int64, count=len(uniq),
                 )
-                round_bits = int((sizes[inv] * degrees[sending]).sum())
-                message_bits += round_bits
-                per_round_bits.append(round_bits)
+                per_round_bits.append(int((sizes[inv] * degrees[sending]).sum()))
         inbox_vals = values[layout.targets]
         inbox_sent = sending[layout.targets]
         inbox_vals.flags.writeable = False
@@ -462,20 +469,7 @@ def _run_columnar_port(
             SPAN_PHASE, phase_t0, phase="columnar rounds", rounds=plan.rounds
         )
     states = machine.finish_columnar(layout, ctxs)
-    halted = [machine.halted(ctxs[v], states[v]) for v in graph.nodes()]
-    inner = _run_fast_port(
-        graph, machine, ctxs, states, halted,
-        max_rounds - plan.rounds, None, None, meter,
-    )
-    return RunResult(
-        outputs=inner.outputs,
-        rounds=plan.rounds + inner.rounds,
-        all_halted=inner.all_halted,
-        messages_sent=messages_sent + inner.messages_sent,
-        message_bits=message_bits + inner.message_bits,
-        per_round_bits=per_round_bits + inner.per_round_bits,
-        states=inner.states,
-    )
+    return states, plan.rounds, messages_sent, per_round_bits
 
 
 def _columnar_fallback(reason: str) -> None:
@@ -485,469 +479,396 @@ def _columnar_fallback(reason: str) -> None:
         tr.event(EV_ENGINE_FALLBACK, wanted="columnar", reason=reason)
 
 
-def _run_fast_port(
+class _Wires:
+    """What the two delivery strategies share.  ``silent[v] == 1`` means
+    ``v`` puts nothing on any link (halted, parked and crashed nodes
+    included)."""
+
+    def __init__(self, graph: PortNumberedGraph, machine: Machine,
+                 ctxs: List[LocalContext], meter: Metering) -> None:
+        self.silent = bytearray([1]) * graph.n
+        self.degrees = graph.degree_array
+        self.emit = machine.emit
+        self.ctxs = ctxs
+        self.meter = meter
+
+    def meter_links(self, links: Mapping[Tuple[int, int], Any]) -> Tuple[int, int]:
+        """``(messages, bits)`` on the (possibly tampered) links, as far
+        as the metering mode asks."""
+        messages = bits = 0
+        if self.meter.counts_messages:
+            meter_bits = self.meter.meters_bits
+            for m in links.values():
+                if m is not None:
+                    messages += 1
+                    if meter_bits:
+                        bits += message_size_bits(m)
+        return messages, bits
+
+
+class _PortWires(_Wires):
+    """Port-numbering delivery: each emitted row is scattered through
+    the CSR port targets into preallocated inboxes, reused across
+    rounds.  ``scatter[v]`` lists, for each of ``v``'s ports in order,
+    the (neighbour inbox, slot) it feeds; a silent node's slots all
+    hold ``None``, so a silent round needs no writes at all (inboxes
+    start out all-``None``)."""
+
+    def __init__(self, graph: PortNumberedGraph, machine: Machine,
+                 ctxs: List[LocalContext], meter: Metering) -> None:
+        super().__init__(graph, machine, ctxs, meter)
+        offsets, flat_targets, flat_rev = graph.csr()
+        inboxes = [[None] * d for d in self.degrees]
+        self.inboxes: List[List[Any]] = inboxes
+        self.scatter: List[List[Tuple[List[Any], int]]] = [
+            [(inboxes[u], q) for u, q in zip(
+                flat_targets[offsets[v]:offsets[v + 1]],
+                flat_rev[offsets[v]:offsets[v + 1]],
+            )]
+            for v in range(graph.n)
+        ]
+
+    def silence(self, v: int) -> None:
+        for dst, q in self.scatter[v]:
+            dst[q] = None
+        self.silent[v] = 1
+
+    def send(self, live: List[int], paused: frozenset, states: List[Any],
+             outboxes: Optional[List[Any]]) -> Tuple[int, int]:
+        """Emit, deliver and meter one round; returns ``(messages, bits)``."""
+        emit = self.emit
+        ctxs = self.ctxs
+        scatter = self.scatter
+        silent = self.silent
+        degrees = self.degrees
+        size_of = message_size_bits
+        count_msgs = self.meter.counts_messages
+        meter_bits = self.meter.meters_bits
+        messages = bits = 0
+        for v in live:
+            # A node crashed this round is silent (like halted) but live.
+            out = None if v in paused else emit(ctxs[v], states[v])
+            if out is None:
+                if outboxes is not None and v not in paused:
+                    # Observer parity with the reference engine: a
+                    # live node's silence shows as an all-None row;
+                    # only halted/crashed nodes show as None.
+                    outboxes[v] = [None] * degrees[v]
+                if not silent[v]:
+                    self.silence(v)
+                continue
+            silent[v] = 0
+            d = degrees[v]
+            if type(out) is not list and type(out) is not tuple:
+                out = list(out)
+            if len(out) != d:
+                raise _bad_arity(d, len(out))
+            if outboxes is not None:
+                outboxes[v] = out
+            for (dst, q), m in zip(scatter[v], out):
+                dst[q] = m
+            if count_msgs:
+                for m in out:
+                    if m is not None:
+                        messages += 1
+                        if meter_bits:
+                            bits += size_of(m)
+        return messages, bits
+
+    def links(self) -> Dict[Tuple[int, int], Any]:
+        """The round's ``(sender, port)`` links, read back from the
+        slots :meth:`send` just filled."""
+        return {
+            (v, p): dst[q]
+            for v, targets in enumerate(self.scatter)
+            for p, (dst, q) in enumerate(targets)
+        }
+
+    def redeliver(self, links: Mapping[Tuple[int, int], Any],
+                  live: List[int], paused: frozenset) -> Tuple[int, int]:
+        """Rewrite every slot from (possibly tampered) ``links`` and
+        meter them; silence is recomputed, so later rounds see a
+        consistent inbox/silent state."""
+        silent = self.silent
+        for v, targets in enumerate(self.scatter):
+            still = 1
+            for p, (dst, q) in enumerate(targets):
+                m = dst[q] = links[(v, p)]
+                if m is not None:
+                    still = 0
+            silent[v] = still
+        return self.meter_links(links)
+
+
+class _BroadcastWires(_Wires):
+    """Broadcast delivery: every node receives its neighbours' payloads
+    as a tuple sorted by canonical key — sorting by content, never by
+    sender, enforces the model's anonymity.  Keys are computed once per
+    sender per round (one payload travels along every link)."""
+
+    def __init__(self, graph: PortNumberedGraph, machine: Machine,
+                 ctxs: List[LocalContext], meter: Metering) -> None:
+        super().__init__(graph, machine, ctxs, meter)
+        n = graph.n
+        self.nbrs = [graph.neighbours(v) for v in range(n)]
+        self.payloads: List[Any] = [None] * n
+        self.keys: List[Any] = [_NONE_KEY] * n
+        self.inboxes: List[Any] = [None] * n
+
+    def silence(self, v: int) -> None:
+        self.payloads[v] = None
+        self.keys[v] = _NONE_KEY
+        self.silent[v] = 1
+
+    def send(self, live: List[int], paused: frozenset, states: List[Any],
+             outboxes: Optional[List[Any]]) -> Tuple[int, int]:
+        """Emit, deliver and meter one round; returns ``(messages, bits)``."""
+        emit = self.emit
+        ctxs = self.ctxs
+        payloads = self.payloads
+        keys = self.keys
+        silent = self.silent
+        degrees = self.degrees
+        size_of = message_size_bits
+        count_msgs = self.meter.counts_messages
+        meter_bits = self.meter.meters_bits
+        messages = bits = 0
+        for v in live:
+            # A node crashed this round is silent (like halted) but live.
+            p = None if v in paused else emit(ctxs[v], states[v])
+            payloads[v] = p
+            keys[v] = canonical_key(p)
+            silent[v] = p is None
+            if p is not None and count_msgs:
+                # One broadcast payload, delivered along every link.
+                d = degrees[v]
+                messages += d
+                if meter_bits:
+                    bits += d * size_of(p)
+        key_of = keys.__getitem__
+        nbrs = self.nbrs
+        inboxes = self.inboxes
+        for v in live:
+            if v not in paused:
+                inboxes[v] = tuple(payloads[u] for u in sorted(nbrs[v], key=key_of))
+        if outboxes is not None:
+            outboxes[:] = payloads
+        return messages, bits
+
+    def links(self) -> Dict[Tuple[int, int], Any]:
+        """The round's ``(sender, receiver)`` links."""
+        payloads = self.payloads
+        return {(v, u): payloads[v] for v, us in enumerate(self.nbrs) for u in us}
+
+    def redeliver(self, links: Mapping[Tuple[int, int], Any],
+                  live: List[int], paused: frozenset) -> Tuple[int, int]:
+        """Rebuild the inboxes from (possibly tampered) ``links`` and
+        meter them.  A stable sort of the received *values* by canonical
+        key equals the sender sort in :meth:`send`, so an untampered
+        link map rebuilds identical inboxes."""
+        nbrs = self.nbrs
+        inboxes = self.inboxes
+        for v in live:
+            if v not in paused:
+                received = [links[(u, v)] for u in nbrs[v]]
+                received.sort(key=canonical_key)
+                inboxes[v] = tuple(received)
+        return self.meter_links(links)
+
+
+_WIRES = {PORT_NUMBERING: _PortWires, BROADCAST: _BroadcastWires}
+
+
+def _apply_faults(
+    r: int,
     graph: PortNumberedGraph,
     machine: Machine,
     ctxs: List[LocalContext],
     states: List[Any],
     halted: List[bool],
+    adversary: Any,
+    silence: Callable[[int], None],
+) -> Tuple[List[Any], frozenset, bool]:
+    """Round ``r``'s node-level fault hooks, in the reference order.
+
+    ``restarted`` nodes reboot from ``start``, then ``corrupt`` may
+    replace states, then ``paused`` names the nodes crashed (silent and
+    frozen) this round; link tampering follows delivery.  The crash
+    hooks are looked up with ``getattr``: duck-typed adversaries that
+    predate them only corrupt states.  Updates ``halted`` in place and
+    silences the nodes the hooks halt.  Returns ``(states, paused,
+    flipped)``: ``corrupt`` returns a new states list, and ``flipped``
+    says whether any node's halted flag changed.
+    """
+    changed: List[int] = []
+    restarted = getattr(adversary, "restarted", None)
+    if restarted is not None:
+        for v in sorted(set(restarted(r, graph))):
+            states[v] = machine.start(ctxs[v])
+            changed.append(v)
+    if adversary.is_active(r):
+        prev = states
+        # Hand corrupt() a copy: an adversary that assigns into the
+        # list it was given (and returns it) must not alias `prev`, or
+        # the identity check below would miss every corruption.
+        states = list(adversary.corrupt(r, graph, list(prev)))
+        changed.extend(v for v in range(graph.n) if states[v] is not prev[v])
+    flipped = False
+    for v in changed:
+        now = machine.halted(ctxs[v], states[v])
+        if now != halted[v]:
+            halted[v] = now
+            flipped = True
+            if now:
+                silence(v)
+    paused_fn = getattr(adversary, "paused", None)
+    paused = _EMPTY_SET if paused_fn is None else frozenset(paused_fn(r, graph))
+    return states, paused, flipped
+
+
+def _run_fast(
+    graph: PortNumberedGraph,
+    machine: Machine,
+    ctxs: List[LocalContext],
+    wires_cls: type,
+    states: List[Any],
+    rounds: int,
+    messages_sent: int,
+    per_round_bits: List[int],
     max_rounds: int,
     observer: Optional[Observer],
     adversary: Optional[Any],
     meter: Metering,
 ) -> RunResult:
-    n = graph.n
-    degrees = graph.degree_array
+    """The fast round loop, in either model, from ``states`` after
+    ``rounds`` rounds (0, or the columnar prefix's count) that sent
+    ``messages_sent`` messages with ``per_round_bits``.
 
-    emit = machine.emit
+    ``wires_cls`` is the model's delivery strategy; everything else —
+    fault hooks, stepping, halting and silencing, quiescence parking,
+    metering totals, the observer, round spans and the fast-forward
+    epilogue — is shared.
+    """
+    n = graph.n
     step = machine.step
     halted_fn = machine.halted
-    size_of = message_size_bits
-    count_msgs = meter.counts_messages
     meter_bits = meter.meters_bits
 
     # Quiescence fast path (see Machine.quiescent): park nodes whose
     # remaining execution is provably silent and inbox-independent, and
     # fast-forward their states once the active loop drains.  Disabled
     # under observers and fault adversaries, which need (or may
-    # corrupt) true per-round states.
+    # corrupt) true per-round states.  Every node is halted, parked or
+    # live, so the loop runs while some node is live.
     quiescent_fn = getattr(machine, "quiescent", None)
-    use_parking = (
-        quiescent_fn is not None
-        and observer is None
-        and adversary is None
-    )
+    parking = quiescent_fn is not None and observer is None and adversary is None
     parked: List[Tuple[int, int]] = []  # (node, round it was parked after)
-
-    # Message-fault / crash hooks (getattr: duck-typed adversaries that
-    # predate the extended contract only corrupt states).
-    adv_restarted = adv_paused = adv_tampers = None
-    if adversary is not None:
-        adv_restarted = getattr(adversary, "restarted", None)
-        adv_paused = getattr(adversary, "paused", None)
-        adv_tampers = getattr(adversary, "tampers", None)
-    start_fn = machine.start
-
-    rounds = 0
-    n_halted = sum(halted)
-    messages_sent = 0
-    message_bits = 0
-    per_round_bits: List[int] = []
-    live = [v for v in range(n) if not halted[v]]
-    # silent[v] == 1 means every slot v feeds already holds None, so a
-    # silent round needs no writes at all (inboxes start out all-None).
-    silent = bytearray([1]) * n
-
-    if use_parking and live:
-        # Nodes already quiescent in their initial state (resumed runs —
-        # notably the columnar engine's handoff states) never need a
-        # real round: the contract says they emit None and ignore their
-        # inboxes from here to halting, so park them straight away.
-        still_live = []
-        for v in live:
-            if quiescent_fn(ctxs[v], states[v]):
-                parked.append((v, rounds))
-            else:
-                still_live.append(v)
-        live = still_live
-
-    # Preallocated inboxes, reused across rounds; scatter[v] lists, for
-    # each of v's ports in order, the (neighbour inbox, slot) it feeds.
-    # Built only when the round loop can actually run — a start state
-    # with every node halted or parked (the columnar handoff on fully
-    # quiescent instances) skips the allocation entirely.
-    inboxes: List[List[Any]] = []
-    scatter: List[List[Tuple[List[Any], int]]] = []
-    if max_rounds > 0 and n_halted + len(parked) < n:
-        offsets, flat_targets, flat_rev = graph.csr()
-        inboxes = [[None] * degrees[v] for v in range(n)]
-        for v in range(n):
-            s, e = offsets[v], offsets[v + 1]
-            scatter.append(
-                [(inboxes[u], q)
-                 for u, q in zip(flat_targets[s:e], flat_rev[s:e])]
-            )
-
-    tr = obs.current()
-    while rounds < max_rounds and n_halted + len(parked) < n:
-        rt0 = tr.now() if tr is not None else 0.0
-        paused: frozenset = _EMPTY_SET
-        if adversary is not None:
-            changed = False
-            if adv_restarted is not None:
-                for v in sorted(set(adv_restarted(rounds, graph))):
-                    states[v] = start_fn(ctxs[v])
-                    now = halted_fn(ctxs[v], states[v])
-                    if now != halted[v]:
-                        halted[v] = now
-                        if now:
-                            n_halted += 1
-                            for dst, q in scatter[v]:
-                                dst[q] = None
-                            silent[v] = 1
-                        else:
-                            n_halted -= 1
-                    changed = True
-            if adversary.is_active(rounds):
-                changed = True
-                prev = states
-                # Hand corrupt() a copy: an adversary that assigns into
-                # the list it was given (and returns it) must not alias
-                # `prev`, or the identity check below would miss every
-                # corruption.
-                states = list(adversary.corrupt(rounds, graph, list(prev)))
-                for v in range(n):
-                    if states[v] is not prev[v] and halted[v] != (
-                        now := halted_fn(ctxs[v], states[v])
-                    ):
-                        halted[v] = now
-                        if now:
-                            n_halted += 1
-                            for dst, q in scatter[v]:
-                                dst[q] = None
-                            silent[v] = 1
-                        else:
-                            n_halted -= 1
-            if changed:
-                live = [v for v in range(n) if not halted[v]]
-            if adv_paused is not None:
-                paused = frozenset(adv_paused(rounds, graph))
-
-        outboxes: Optional[List[Any]] = [None] * n if observer is not None else None
-        round_bits = 0
-        if adv_tampers is not None and adv_tampers(rounds):
-            # Chaos path: collect every emission, expose the full set
-            # of directed links to the adversary, then deliver and
-            # meter from the (possibly tampered) link values.  Mirrors
-            # the reference engine exactly; the hot path below is
-            # untouched in rounds without message tampering.
-            rows: List[Any] = [None] * n
-            for v in live:
-                if v in paused:
-                    continue
-                out = emit(ctxs[v], states[v])
-                if out is None:
-                    if outboxes is not None:
-                        outboxes[v] = [None] * degrees[v]
-                    continue
-                d = degrees[v]
-                if type(out) is not list and type(out) is not tuple:
-                    out = list(out)
-                if len(out) != d:
-                    raise _bad_arity(d, len(out))
-                rows[v] = out
-                if outboxes is not None:
-                    outboxes[v] = out
-            links: Dict[Tuple[int, int], Any] = {}
-            for v in range(n):
-                row = rows[v]
-                if row is None:
-                    for p in range(degrees[v]):
-                        links[(v, p)] = None
-                else:
-                    for p in range(degrees[v]):
-                        links[(v, p)] = row[p]
-            links = adversary.tamper(rounds, graph, links)
-            # Every slot is rewritten from the tampered links, and
-            # silence is recomputed, so later (fast-path) rounds see a
-            # consistent inbox/silent state.
-            for v in range(n):
-                still = 1
-                for p, (dst, q) in enumerate(scatter[v]):
-                    m = links[(v, p)]
-                    dst[q] = m
-                    if m is not None:
-                        still = 0
-                        if count_msgs:
-                            messages_sent += 1
-                            if meter_bits:
-                                round_bits += size_of(m)
-                silent[v] = still
+    halted = [halted_fn(ctxs[v], states[v]) for v in range(n)]
+    live: List[int] = []
+    for v in range(n):
+        if halted[v]:
+            continue
+        if parking and quiescent_fn(ctxs[v], states[v]):
+            # Already quiescent (resumed runs — notably the columnar
+            # prefix's handoff states): the contract says it emits None
+            # and ignores its inbox from here to halting, so it never
+            # needs a real round.
+            parked.append((v, rounds))
         else:
+            live.append(v)
+
+    tampers = getattr(adversary, "tampers", None)
+    tr = obs.current()
+    # The delivery buffers are built only when the loop actually runs —
+    # a start with every node halted or parked (the columnar handoff on
+    # fully quiescent instances) skips the allocation entirely.
+    if live and rounds < max_rounds:
+        wires = wires_cls(graph, machine, ctxs, meter)
+        inboxes = wires.inboxes
+        silent = wires.silent
+        paused: frozenset = _EMPTY_SET
+        while live and rounds < max_rounds:
+            rt0 = tr.now() if tr is not None else 0.0
+            if adversary is not None:
+                states, paused, flipped = _apply_faults(
+                    rounds, graph, machine, ctxs, states, halted,
+                    adversary, wires.silence,
+                )
+                if flipped:
+                    live = [v for v in range(n) if not halted[v]]
+            outboxes: Optional[List[Any]] = [None] * n if observer is not None else None
+            sent, bits = wires.send(live, paused, states, outboxes)
+            tampered = tampers is not None and tampers(rounds)
+            if tampered:
+                # Chaos round: the adversary sees every directed link;
+                # delivery and metering follow the tampered values (the
+                # wire's view is what is billed).
+                sent, bits = wires.redeliver(
+                    adversary.tamper(rounds, graph, wires.links()),
+                    live, paused,
+                )
+            messages_sent += sent
+            if meter_bits:
+                per_round_bits.append(bits)
+
+            next_live: List[int] = []
+            settled: List[int] = []
             for v in live:
                 if v in paused:
-                    # Crashed this round: silent (like halted) but live.
-                    if not silent[v]:
-                        for dst, q in scatter[v]:
-                            dst[q] = None
-                        silent[v] = 1
+                    # Frozen: no step, the round's inbox is discarded.
+                    next_live.append(v)
                     continue
-                out = emit(ctxs[v], states[v])
-                if out is None:
-                    if outboxes is not None:
-                        # Observer parity with the reference engine: a
-                        # live node's silence shows as an all-None row;
-                        # only halted/crashed nodes show as None.
-                        outboxes[v] = [None] * degrees[v]
-                    if not silent[v]:
-                        for dst, q in scatter[v]:
-                            dst[q] = None
-                        silent[v] = 1
-                    continue
-                silent[v] = 0
-                d = degrees[v]
-                if type(out) is not list and type(out) is not tuple:
-                    out = list(out)
-                if len(out) != d:
-                    raise _bad_arity(d, len(out))
-                if outboxes is not None:
-                    outboxes[v] = out
-                for (dst, q), m in zip(scatter[v], out):
-                    dst[q] = m
-                if count_msgs:
-                    if meter_bits:
-                        for m in out:
-                            if m is not None:
-                                messages_sent += 1
-                                round_bits += size_of(m)
-                    else:
-                        for m in out:
-                            if m is not None:
-                                messages_sent += 1
-
-        next_live: List[int] = []
-        just_halted: List[int] = []
-        for v in live:
-            if v in paused:
-                # Frozen: no step, the round's inbox is discarded.
-                next_live.append(v)
-                continue
-            st = step(ctxs[v], states[v], inboxes[v])
-            states[v] = st
-            if halted_fn(ctxs[v], st):
-                halted[v] = True
-                n_halted += 1
-                just_halted.append(v)
-            elif use_parking and silent[v] and quiescent_fn(ctxs[v], st):
-                # Only silent nodes can be quiescent (quiescence implies
-                # emitting None), so the check is skipped for talkers.
-                parked.append((v, rounds + 1))
-                just_halted.append(v)  # silence its slots like a halted node
-            else:
-                next_live.append(v)
-        # Silence newly halted/parked nodes only after every step has
-        # read its inbox — their final-round messages were deliverable.
-        for v in just_halted:
-            for dst, q in scatter[v]:
-                dst[q] = None
-            silent[v] = 1
-        live = next_live
-        rounds += 1
-        if tr is not None:
-            tr.complete(SPAN_ROUND, rt0, round=rounds - 1)
-        if meter_bits:
-            message_bits += round_bits
-            per_round_bits.append(round_bits)
-        if observer is not None:
-            observer(rounds, states, outboxes)
+                st = step(ctxs[v], states[v], inboxes[v])
+                states[v] = st
+                if halted_fn(ctxs[v], st):
+                    halted[v] = True
+                    settled.append(v)
+                elif parking and silent[v] and quiescent_fn(ctxs[v], st):
+                    # Only silent nodes can be quiescent (quiescence
+                    # implies emitting None), so talkers skip the check.
+                    parked.append((v, rounds + 1))
+                    settled.append(v)
+                else:
+                    next_live.append(v)
+            # Silence newly halted/parked nodes only after every step has
+            # read its inbox — their final-round messages were deliverable.
+            for v in settled:
+                wires.silence(v)
+            if tampered:
+                # Tampering can put a message on a halted sender's link
+                # (a duplicated one, say); it is delivered this round only.
+                for v in range(n):
+                    if halted[v] and not silent[v]:
+                        wires.silence(v)
+            live = next_live
+            rounds += 1
+            if tr is not None:
+                tr.complete(SPAN_ROUND, rt0, round=rounds - 1)
+            if observer is not None:
+                observer(rounds, states, outboxes)
 
     # Fast-forward parked nodes to where the plain loop would have left
     # them.  A parked node is silent and ignores its inbox, so only its
     # round count matters; the global round count is the max over all
     # nodes, and silent rounds contribute zero messages and bits.
+    all_halted = not live
     for v, parked_at in parked:
         st, used = machine.fast_forward(ctxs[v], states[v], max_rounds - parked_at)
         states[v] = st
-        if halted_fn(ctxs[v], st):
-            n_halted += 1
+        if not halted_fn(ctxs[v], st):
+            all_halted = False
         if parked_at + used > rounds:
             rounds = parked_at + used
     if meter_bits and len(per_round_bits) < rounds:
         per_round_bits.extend([0] * (rounds - len(per_round_bits)))
-        # (silent tail rounds: no messages, no bits)
 
     outputs = [machine.output(ctxs[v], states[v]) for v in range(n)]
     return RunResult(
         outputs=outputs,
         rounds=rounds,
-        all_halted=n_halted == n,
+        all_halted=all_halted,
         messages_sent=messages_sent,
-        message_bits=message_bits,
-        per_round_bits=per_round_bits,
-        states=states,
-    )
-
-
-def _run_fast_broadcast(
-    graph: PortNumberedGraph,
-    machine: Machine,
-    ctxs: List[LocalContext],
-    states: List[Any],
-    halted: List[bool],
-    max_rounds: int,
-    observer: Optional[Observer],
-    adversary: Optional[Any],
-    meter: Metering,
-) -> RunResult:
-    n = graph.n
-    degrees = graph.degree_array
-    nbrs = [graph.neighbours(v) for v in range(n)]
-
-    emit = machine.emit
-    step = machine.step
-    halted_fn = machine.halted
-    size_of = message_size_bits
-    count_msgs = meter.counts_messages
-    meter_bits = meter.meters_bits
-
-    rounds = 0
-    n_halted = sum(halted)
-    messages_sent = 0
-    message_bits = 0
-    per_round_bits: List[int] = []
-    live = [v for v in range(n) if not halted[v]]
-    payloads: List[Any] = [None] * n
-    keys: List[Any] = [_NONE_KEY] * n
-
-    # Message-fault / crash hooks (getattr: duck-typed adversaries that
-    # predate the extended contract only corrupt states).
-    adv_restarted = adv_paused = adv_tampers = None
-    if adversary is not None:
-        adv_restarted = getattr(adversary, "restarted", None)
-        adv_paused = getattr(adversary, "paused", None)
-        adv_tampers = getattr(adversary, "tampers", None)
-    start_fn = machine.start
-
-    tr = obs.current()
-    while rounds < max_rounds and n_halted < n:
-        rt0 = tr.now() if tr is not None else 0.0
-        paused: frozenset = _EMPTY_SET
-        if adversary is not None:
-            changed = False
-            if adv_restarted is not None:
-                for v in sorted(set(adv_restarted(rounds, graph))):
-                    states[v] = start_fn(ctxs[v])
-                    now = halted_fn(ctxs[v], states[v])
-                    if now != halted[v]:
-                        halted[v] = now
-                        if now:
-                            n_halted += 1
-                            payloads[v] = None
-                            keys[v] = _NONE_KEY
-                        else:
-                            n_halted -= 1
-                    changed = True
-            if adversary.is_active(rounds):
-                changed = True
-                prev = states
-                # Hand corrupt() a copy: an adversary that assigns into
-                # the list it was given (and returns it) must not alias
-                # `prev`, or the identity check below would miss every
-                # corruption.
-                states = list(adversary.corrupt(rounds, graph, list(prev)))
-                for v in range(n):
-                    if states[v] is not prev[v] and halted[v] != (
-                        now := halted_fn(ctxs[v], states[v])
-                    ):
-                        halted[v] = now
-                        if now:
-                            n_halted += 1
-                            payloads[v] = None
-                            keys[v] = _NONE_KEY
-                        else:
-                            n_halted -= 1
-            if changed:
-                live = [v for v in range(n) if not halted[v]]
-            if adv_paused is not None:
-                paused = frozenset(adv_paused(rounds, graph))
-
-        round_bits = 0
-        inboxes_t: Optional[List[Any]] = None
-        if adv_tampers is not None and adv_tampers(rounds):
-            # Chaos path: expose every directed link to the adversary,
-            # then deliver and meter from the (possibly tampered) link
-            # values.  A stable sort of the received *values* by
-            # canonical key equals the normal stable sender-sort, so an
-            # untampered chaos round builds identical inboxes.
-            for v in live:
-                if v in paused:
-                    payloads[v] = None
-                    keys[v] = _NONE_KEY
-                    continue
-                p = emit(ctxs[v], states[v])
-                payloads[v] = p
-                keys[v] = canonical_key(p)
-            links: Dict[Tuple[int, int], Any] = {}
-            for v in range(n):
-                pv = payloads[v]
-                for u in nbrs[v]:
-                    links[(v, u)] = pv
-            links = adversary.tamper(rounds, graph, links)
-            if count_msgs:
-                for m in links.values():
-                    if m is not None:
-                        messages_sent += 1
-                        if meter_bits:
-                            round_bits += size_of(m)
-            inboxes_t = [None] * n
-            for v in live:
-                if v in paused:
-                    continue
-                received = [links[(u, v)] for u in nbrs[v]]
-                received.sort(key=canonical_key)
-                inboxes_t[v] = tuple(received)
-        else:
-            for v in live:
-                if v in paused:
-                    # Crashed this round: silent (like halted) but live.
-                    payloads[v] = None
-                    keys[v] = _NONE_KEY
-                    continue
-                p = emit(ctxs[v], states[v])
-                payloads[v] = p
-                keys[v] = canonical_key(p)
-                if p is not None and count_msgs:
-                    # One broadcast payload, delivered along every link.
-                    d = degrees[v]
-                    messages_sent += d
-                    if meter_bits:
-                        round_bits += d * size_of(p)
-
-        key_of = keys.__getitem__
-        next_live: List[int] = []
-        just_halted: List[int] = []
-        for v in live:
-            if v in paused:
-                # Frozen: no step, the round's inbox is discarded.
-                next_live.append(v)
-                continue
-            # inbox = canonically sorted multiset of neighbours'
-            # payloads; sorting by content (never by sender) enforces
-            # the broadcast model's anonymity.
-            if inboxes_t is not None:
-                inbox = inboxes_t[v]
-            else:
-                inbox = tuple(
-                    payloads[u] for u in sorted(nbrs[v], key=key_of)
-                )
-            st = step(ctxs[v], states[v], inbox)
-            states[v] = st
-            if halted_fn(ctxs[v], st):
-                halted[v] = True
-                n_halted += 1
-                just_halted.append(v)
-            else:
-                next_live.append(v)
-        live = next_live
-        rounds += 1
-        if tr is not None:
-            tr.complete(SPAN_ROUND, rt0, round=rounds - 1)
-        if meter_bits:
-            message_bits += round_bits
-            per_round_bits.append(round_bits)
-        if observer is not None:
-            observer(rounds, states, list(payloads))
-        for v in just_halted:
-            payloads[v] = None
-            keys[v] = _NONE_KEY
-
-    outputs = [machine.output(ctxs[v], states[v]) for v in range(n)]
-    return RunResult(
-        outputs=outputs,
-        rounds=rounds,
-        all_halted=n_halted == n,
-        messages_sent=messages_sent,
-        message_bits=message_bits,
+        message_bits=sum(per_round_bits),
         per_round_bits=per_round_bits,
         states=states,
     )

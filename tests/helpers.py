@@ -11,6 +11,9 @@ round, for ``per_round_bits``) where the divergence starts, mirroring
 the diagnostic style of the CLI's ``--verify`` output
 (``repro.cli._verify_diff``), so a failing differential test points at
 the locus rather than dumping two whole result objects.
+
+:class:`Echo` is a small quiescence-protocol machine for either model,
+shared by the engine and the dynamic-session suites.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from typing import Iterable, Tuple
 
 from repro import obs
+from repro.simulator.machine import BROADCAST, Machine
 
 __all__ = [
     "RUN_RESULT_FIELDS",
@@ -25,6 +29,7 @@ __all__ = [
     "assert_run_results_equal",
     "assert_result_lists_equal",
     "apply_loudly",
+    "Echo",
 ]
 
 #: Every field of :class:`repro.simulator.runtime.RunResult`, in the
@@ -109,3 +114,50 @@ def apply_loudly(session, batch):
     fallbacks = tracer.events(obs.EV_ENGINE_FALLBACK)
     assert not fallbacks, f"incremental repair fell back: {fallbacks}"
     return stats
+
+
+class Echo(Machine):
+    """A minimal quiescence-protocol machine for either model: a node
+    with input ``k`` sends its running checksum and folds everything it
+    hears into it for ``k`` rounds, then coasts silently to a fixed
+    horizon.  Any inbox change before round ``k`` changes the output,
+    so a replay that skips or parks a node too early cannot hide."""
+
+    HORIZON = 12
+
+    def __init__(self, model, quiet=True):
+        self.model = model
+        if not quiet:
+            self.quiescent = None
+
+    def start(self, ctx):
+        # Degree in the seed: an edge edit changes the round-0 message.
+        return (0, ctx.input + 7 * ctx.degree)
+
+    def emit(self, ctx, state):
+        i, value = state
+        if i >= ctx.input:
+            return None
+        return value if self.model == BROADCAST else [value] * ctx.degree
+
+    def step(self, ctx, state, inbox):
+        i, value = state
+        if i < ctx.input:
+            for m in inbox:
+                value = (value * 31 + (0 if m is None else m + 1)) % 1_000_003
+        return (i + 1, value)
+
+    def halted(self, ctx, state):
+        return state[0] >= self.HORIZON
+
+    def output(self, ctx, state):
+        return state[1]
+
+    def quiescent(self, ctx, state):
+        return state[0] >= ctx.input
+
+    def fast_forward(self, ctx, state, max_elapsed):
+        elapsed = min(max_elapsed, self.HORIZON - state[0])
+        if elapsed <= 0:
+            return state, 0
+        return (state[0] + elapsed, state[1]), elapsed

@@ -38,9 +38,9 @@ from repro.dynamic import (
 from repro.graphs import families
 from repro.graphs.setcover import random_instance
 from repro.graphs.weights import uniform_weights, unit_weights
-from repro.simulator.machine import BROADCAST, PORT_NUMBERING, Machine
+from repro.simulator.machine import BROADCAST, PORT_NUMBERING
 
-from helpers import apply_loudly, assert_run_results_equal
+from helpers import Echo, apply_loudly, assert_run_results_equal
 
 
 def assert_same_result(a, b):
@@ -249,59 +249,12 @@ def test_quiescent_nodes_stop_recording():
     for batch in ([], [remove_edge(100, 101)], [add_edge(100, 101)]):
         if batch:
             apply_loudly(sess, batch)
-        hist = sess._memo.get(sess._generation, "history")
+        hist = sess._history
         assert max(len(col) for col in hist.out) <= 5
         assert max(len(col) for col in hist.st) <= 4
         assert sum(len(col) for col in hist.st) <= 4 * n
         rows = [row for col in hist.out for row in col if row is not None]
         assert all(any(m is not None for m in row) for row in rows)
-
-
-class _Echo(Machine):
-    """A minimal quiescence-protocol machine for either model: a node
-    with input ``k`` sends its running checksum and folds everything it
-    hears into it for ``k`` rounds, then coasts silently to a fixed
-    horizon.  Any inbox change before round ``k`` changes the output,
-    so a replay that skips or parks a node too early cannot hide."""
-
-    HORIZON = 12
-
-    def __init__(self, model, quiet=True):
-        self.model = model
-        if not quiet:
-            self.quiescent = None
-
-    def start(self, ctx):
-        # Degree in the seed: an edge edit changes the round-0 message.
-        return (0, ctx.input + 7 * ctx.degree)
-
-    def emit(self, ctx, state):
-        i, value = state
-        if i >= ctx.input:
-            return None
-        return value if self.model == BROADCAST else [value] * ctx.degree
-
-    def step(self, ctx, state, inbox):
-        i, value = state
-        if i < ctx.input:
-            for m in inbox:
-                value = (value * 31 + (0 if m is None else m + 1)) % 1_000_003
-        return (i + 1, value)
-
-    def halted(self, ctx, state):
-        return state[0] >= self.HORIZON
-
-    def output(self, ctx, state):
-        return state[1]
-
-    def quiescent(self, ctx, state):
-        return state[0] >= ctx.input
-
-    def fast_forward(self, ctx, state, max_elapsed):
-        elapsed = min(max_elapsed, self.HORIZON - state[0])
-        if elapsed <= 0:
-            return state, 0
-        return (state[0] + elapsed, state[1]), elapsed
 
 
 @pytest.mark.parametrize("model", [PORT_NUMBERING, BROADCAST])
@@ -314,7 +267,7 @@ def test_quiescence_skip_and_park_in_both_models(model):
 
     def session(quiet, mode="incremental"):
         return DynamicRun(
-            g, k, _Echo(model, quiet), {}, 50, mode=mode, flow="custom"
+            g, k, Echo(model, quiet), {}, 50, mode=mode, flow="custom"
         )
 
     quiet, plain, scr = session(True), session(False), session(True, "scratch")

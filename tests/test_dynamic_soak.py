@@ -64,9 +64,12 @@ def _soak(graph, weights, *, algorithm, delta, W, metering, stream_kind, seed,
         assert_run_results_equal(
             inc.result, scr.result, label_a="incremental", label_b="scratch"
         )
-        # The memory contract: stale generations retire as the memo
-        # advances, so at most two buckets are ever live.
-        assert len(inc._memo._buckets) <= 2
+        # The memory contract: the session holds one history, whose
+        # columns cover exactly the current graph's nodes.
+        hist = inc._history
+        n = inc.graph.n
+        assert len(hist.out) == len(hist.st) == len(hist.deg) == n
+        assert len(hist.halt_round) == len(hist.quiet_round) == n
     assert applied >= 100, f"stream went quiet: only {applied} batches"
     assert inc.cover() == scr.cover()
     assert inc.is_cover()

@@ -63,20 +63,33 @@ def _weights():
     return list(uniform_weights(N, W, seed=4))
 
 
-def _port_job(max_rounds=FAULTY_ROUNDS + T_PORT):
-    job = edge_packing_job(_graph(), _weights())
+def _port_job(max_rounds=FAULTY_ROUNDS + T_PORT, metering="bits"):
+    job = edge_packing_job(_graph(), _weights(), metering=metering)
     job["machine"] = SelfStabilisingMachine(EdgePackingMachine(), T_PORT)
     job["max_rounds"] = max_rounds
     return job
 
 
-def _bcast_job(max_rounds=FAULTY_ROUNDS + T_BCAST):
-    job = dict(broadcast_vc_job(_graph(), _weights()))
+def _bcast_job(max_rounds=FAULTY_ROUNDS + T_BCAST, metering="bits"):
+    job = dict(broadcast_vc_job(_graph(), _weights(), metering=metering))
     job["machine"] = SelfStabilisingMachine(
         BroadcastVertexCoverMachine(), T_BCAST
     )
     job["max_rounds"] = max_rounds
     return job
+
+
+# Each model under every metering mode: tampered rounds meter the
+# tampered links, and only as far as the mode asks.  The default
+# ("bits") cells keep their plain model ids.
+_METERED_JOBS = [
+    pytest.param(
+        jobfn, metering,
+        id=model if metering == "bits" else f"{model}-{metering}",
+    )
+    for model, jobfn in (("port", _port_job), ("broadcast", _bcast_job))
+    for metering in ("bits", "counts", "none")
+]
 
 
 def _adversary(kind, seed=1, rate=0.3):
@@ -89,13 +102,14 @@ class TestEngineEquivalence:
     """fast ≡ reference bit-for-bit under every adversary."""
 
     @pytest.mark.parametrize("kind", FAULTY_KINDS)
-    @pytest.mark.parametrize("jobfn", [_port_job, _bcast_job],
-                             ids=["port", "broadcast"])
-    def test_fast_equals_reference(self, kind, jobfn):
+    @pytest.mark.parametrize("jobfn,metering", _METERED_JOBS)
+    def test_fast_equals_reference(self, kind, jobfn, metering):
         # a fresh adversary per engine: stateful ones (duplication,
         # state corruption) must not leak one run's buffer into the next
-        fast = run(fault_adversary=_adversary(kind), **jobfn())
-        ref = run_reference(fault_adversary=_adversary(kind), **jobfn())
+        fast = run(fault_adversary=_adversary(kind), **jobfn(metering=metering))
+        ref = run_reference(
+            fault_adversary=_adversary(kind), **jobfn(metering=metering)
+        )
         # every RunResult field, with a field-naming diff on mismatch
         assert_run_results_equal(fast, ref, label_a="fast", label_b="reference")
 

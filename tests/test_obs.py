@@ -37,6 +37,7 @@ from repro.obs import (
     EV_ENGINE_FALLBACK,
     EV_ENGINE_SELECTED,
     SPAN_NAMES,
+    SPAN_PHASE,
     SPAN_ROUND,
     SPAN_RUN,
     summarize_trace,
@@ -92,6 +93,11 @@ def test_traced_equals_untraced_engines(engine):
     assert_run_results_equal(base, traced, "untraced", "traced")
     assert tracer.events(SPAN_RUN), "run span missing"
     assert tracer.events(EV_ENGINE_SELECTED)
+    if engine == "columnar":
+        # The object rounds continue the columnar prefix's numbering.
+        (phase,) = tracer.events(SPAN_PHASE)
+        first = tracer.events(SPAN_ROUND)[0]
+        assert first["args"]["round"] == phase["args"]["rounds"] > 0
 
 
 def test_traced_equals_untraced_reference():

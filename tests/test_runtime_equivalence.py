@@ -24,7 +24,11 @@ from repro.graphs import families
 from repro.graphs.setcover import random_instance, vc_to_setcover
 from repro.graphs.topology import PortNumberedGraph
 from repro.graphs.weights import uniform_weights
-from repro.simulator.faults import RandomStateCorruption, TargetedCorruption
+from repro.simulator.faults import (
+    MessageDuplication,
+    RandomStateCorruption,
+    TargetedCorruption,
+)
 from repro.simulator.machine import BROADCAST, PORT_NUMBERING, Machine
 from repro.simulator.runtime import (
     Metering,
@@ -34,7 +38,7 @@ from repro.simulator.runtime import (
 )
 from repro.selfstab.transformer import SelfStabilisingMachine
 
-from helpers import assert_run_results_equal
+from helpers import Echo, assert_run_results_equal
 
 # Every equivalence case involving the paper's machines runs in both
 # arithmetic modes: the fast engine's parking/quiescence shortcuts and
@@ -327,3 +331,50 @@ def test_adversary_assigning_into_given_list(machine_cls):
     assert fast.outputs == ref.outputs
     assert fast.rounds == ref.rounds
     assert fast.rounds > max(lifetimes)  # node 0 really was resurrected
+
+
+@pytest.mark.parametrize("machine_cls", [StaggeredPortMachine, StaggeredBroadcastMachine])
+@pytest.mark.parametrize("until", [2, 3])
+def test_duplicated_message_from_halted_sender(machine_cls, until):
+    """Duplication can put last round's message on a link whose sender
+    has since halted; it is delivered in that tampered round only, and
+    the first untampered round reads silence there again."""
+    g = families.cycle_graph(5)
+    lifetimes = [1, 3, 2, 5, 4]
+    fast = run(
+        g, machine_cls(), inputs=lifetimes,
+        fault_adversary=MessageDuplication(until, rate=1.0, seed=0),
+    )
+    ref = run_reference(
+        g, machine_cls(), inputs=lifetimes,
+        fault_adversary=MessageDuplication(until, rate=1.0, seed=0),
+    )
+    assert_run_results_equal(fast, ref, label_a="fast", label_b="reference")
+
+
+@pytest.mark.parametrize("model", [PORT_NUMBERING, BROADCAST])
+def test_quiescence_parking_in_both_models(model):
+    """The fast engine parks quiescent nodes in either model: results
+    equal the reference's on every field, with far fewer steps."""
+    g = families.cycle_graph(40)
+    k = list(uniform_weights(40, 6, seed=3))
+
+    def counted_run(engine):
+        machine = Echo(model)
+        calls = [0]
+        inner = machine.step
+
+        def step(ctx, state, inbox):
+            calls[0] += 1
+            return inner(ctx, state, inbox)
+
+        machine.step = step
+        return engine(g, machine, inputs=k, max_rounds=50), calls[0]
+
+    fast, fast_steps = counted_run(run)
+    ref, ref_steps = counted_run(run_reference)
+    assert_run_results_equal(fast, ref, label_a="fast", label_b="reference")
+    assert ref_steps == len(k) * Echo.HORIZON
+    # A node with input k talks for k rounds and parks after the first
+    # silent one.
+    assert fast_steps == sum(k) + len(k)
