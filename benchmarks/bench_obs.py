@@ -17,7 +17,7 @@ cycle, metering off) and recorded in the ``obs`` section of
    microseconds the checks cost.)
 2. **Tracing on == tracing off, bit for bit.**  The traced run's
    ``RunResult`` agrees with the untraced run on all seven fields.
-3. **One merged trace.**  A process-backend sweep (workers in separate
+3. **One merged trace.**  A two-worker sweep (workers in separate
    processes) yields a single trace containing worker-side ``round``
    spans under pool-worker lanes, and every pooled result equals the
    untraced serial run.
@@ -145,12 +145,12 @@ def main(argv=None) -> int:
     )
     print("disabled-overhead gate (<=5%): PASS")
 
-    # Gate 3: process-backend sweep -> one merged trace with worker
+    # Gate 3: two-worker sweep -> one merged trace with worker
     # round spans on pool-worker lanes.
     jobs = [dict(job, graph=graph, machine=machine)] * 2
     pool_tracer = obs.Tracer("bench_obs pool")
     with obs.tracing(pool_tracer):
-        pooled = sweep(jobs, n_workers=2, backend="process")
+        pooled = sweep(jobs, n_workers=2)
     assert pooled.failure_report.backend == "process", pooled.failure_report
     for result in pooled:
         for field in RUN_RESULT_FIELDS:

@@ -1,29 +1,21 @@
-"""Order-preserving serial/thread/process-pooled mapping.
+"""Order-preserving serial or process-pooled mapping.
 
 The shared seam under the batched execution APIs
 (:func:`repro.simulator.runtime.run_many` / ``sweep``) and the
 experiment drivers' :func:`repro.experiments.common.parallel_map`.
-``n_workers`` of ``None``/``0``/``1`` runs serially (no pool overhead,
-fully deterministic scheduling).  With workers, ``backend`` picks the
-executor:
-
-``"thread"`` (the default)
-    a :class:`~concurrent.futures.ThreadPoolExecutor`.  Threads share
-    the GIL, so pure-Python workloads gain mostly when they block or
-    on free-threaded builds; no pickling is required, so any callable
-    (closures, lambdas) and any job values work.
-``"process"``
-    a :class:`~concurrent.futures.ProcessPoolExecutor`.  True
-    multi-core parallelism for the CPU-bound simulation kernels, at
-    the price of pickling: the callable must be a module-level
-    function (or a :func:`functools.partial` of one) and jobs/results
-    must round-trip through :mod:`pickle`.  Machines, graphs and
-    :class:`~repro.simulator.runtime.RunResult` all do — pinned by
-    ``tests/test_parallel_backends.py``.
-``"auto"``
-    ``"process"`` when the callable and first job pickle, else
-    ``"thread"``.  A safe default for callers that cannot know what
-    they are handed.
+``n_workers`` of ``None``/``0``/``1`` (or a single job) runs serially
+in the calling process: no pool overhead, fully deterministic
+scheduling.  ``n_workers > 1`` runs on a
+:class:`~concurrent.futures.ProcessPoolExecutor` — true multi-core
+parallelism for the CPU-bound simulation kernels, at the price of
+pickling: the callable must be a module-level function (or a
+:func:`functools.partial` of one) and jobs/results must round-trip
+through :mod:`pickle`.  Machines, graphs and
+:class:`~repro.simulator.runtime.RunResult` all do — pinned by
+``tests/test_parallel_backends.py``.  Work that does not pickle fails
+loudly with pickle's own error (``pickle.PicklingError``, or
+``AttributeError`` for a local function); there is no silent serial
+fallback.
 
 Process pools are *warm*: one pool per distinct worker count is kept
 alive for the life of the interpreter (shut down atexit), so a whole
@@ -35,8 +27,8 @@ across a chunk of instances.
 
 **Crash recovery.**  A worker that dies (OOM-kill, segfault, SIGKILL)
 poisons its whole :class:`ProcessPoolExecutor`; every pending future
-raises :class:`BrokenProcessPool`.  Instead of propagating that, the
-process backend walks a degradation ladder, per chunk of jobs:
+raises :class:`BrokenProcessPool`.  Instead of propagating that,
+``map_jobs`` walks a degradation ladder, per chunk of jobs:
 
 1. **re-dispatch** — the broken pool is retired, a fresh one is built,
    and only the chunks that failed are resubmitted (completed chunks
@@ -46,8 +38,8 @@ process backend walks a degradation ladder, per chunk of jobs:
    times is assumed to *cause* the crash and runs serially in the
    parent, where a genuine job exception surfaces normally;
 3. **full serial** — after ``_MAX_POOL_FAILURES`` pool breakages the
-   backend stops paying pool start-up and degrades every remaining
-   chunk to the parent process.
+   call stops paying pool start-up and degrades every remaining chunk
+   to the parent process.
 
 Chunks are formed once, from job order, before the first dispatch —
 their identity is deterministic, so results are placed by chunk index
@@ -57,9 +49,9 @@ Every recovery is recorded as a :class:`RetryEvent` in the
 :class:`FailureReport` attached to the returned list (a
 :class:`JobResults`; plain-list equality is preserved).
 
-Results are always returned in job order, and — because every backend
-runs the *same* per-job callable — are bit-for-bit identical across
-``backend`` choices for deterministic workloads (pinned by
+Results are always returned in job order, and — because serial and
+pooled runs execute the *same* per-job callable — are bit-for-bit
+identical to a serial run for deterministic workloads (pinned by
 ``tests/test_parallel_backends.py`` and ``tests/test_chaos.py``).
 """
 
@@ -67,9 +59,8 @@ from __future__ import annotations
 
 import atexit
 import os
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -78,19 +69,14 @@ from repro import obs
 from repro.obs import CTR_POOL_RESTARTS, EV_POOL_RETRY
 
 __all__ = [
-    "BACKENDS",
     "FailureReport",
     "JobResults",
     "RetryEvent",
     "map_jobs",
-    "resolve_backend",
     "retire_serve_pools",
     "serve_pool",
     "shutdown_pools",
 ]
-
-#: Accepted ``backend=`` values (``None`` means ``"thread"``).
-BACKENDS = ("thread", "process", "auto")
 
 #: A chunk is re-dispatched onto fresh pools at most this many times
 #: before it is assumed to be the crash's cause and runs serially.
@@ -106,8 +92,7 @@ _BACKOFF_CAP_S = 1.0
 
 # Warm process pools, kept for the interpreter's lifetime so repeated
 # calls (a whole experiment table, a serving host's batches) pay pool
-# start-up once; shut down atexit.  Thread pools are cheap and stay
-# per-call.  Keys name what a pool is for:
+# start-up once; shut down atexit.  Keys name what a pool is for:
 #
 # * ``("map", n)`` — the n-worker pool behind map_jobs;
 # * ``("serve", i)`` — serving worker i's single-worker pool
@@ -122,7 +107,7 @@ _POOLS: Dict[Tuple[str, int], ProcessPoolExecutor] = {}
 
 @dataclass(frozen=True)
 class RetryEvent:
-    """One recovery action taken by the process backend."""
+    """One crash-recovery action taken by :func:`map_jobs`."""
 
     chunk: int  #: chunk index (deterministic: formed before dispatch)
     jobs: int  #: number of jobs in the chunk
@@ -134,11 +119,12 @@ class RetryEvent:
 
 @dataclass(frozen=True)
 class FailureReport:
-    """What the backend had to do to finish a ``map_jobs`` call.
+    """What ran a ``map_jobs`` call, and what it had to do to finish.
 
-    A clean run has no events and no pool restarts; callers that care
-    (the chaos tests, monitoring) read it off the returned
-    :class:`JobResults`, everyone else treats the result as a list.
+    ``backend`` is ``"serial"`` or ``"process"``.  A clean run has no
+    events and no pool restarts; callers that care (the chaos tests,
+    monitoring) read it off the returned :class:`JobResults`, everyone
+    else treats the result as a list.
     """
 
     backend: str
@@ -291,36 +277,6 @@ def _note_retry(tr: Optional["obs.Tracer"], ev: RetryEvent) -> None:
         )
 
 
-def _picklable(*objs: Any) -> bool:
-    try:
-        for obj in objs:
-            pickle.dumps(obj)
-        return True
-    except Exception:
-        return False
-
-
-def resolve_backend(
-    backend: Optional[str], fn: Callable[[Any], Any], jobs: Sequence[Any]
-) -> str:
-    """Resolve a ``backend=`` argument to ``"thread"`` or ``"process"``.
-
-    ``None`` keeps the historical thread default; ``"auto"`` probes
-    whether ``fn`` and the first job pickle and falls back to threads
-    when they do not (closures, open handles, ...).
-    """
-    if backend is None:
-        return "thread"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS} or None"
-        )
-    if backend == "auto":
-        probe = (fn, jobs[0]) if jobs else (fn,)
-        return "process" if _picklable(*probe) else "thread"
-    return backend
-
-
 def _map_process(
     fn: Callable[[Any], Any],
     jobs: List[Any],
@@ -457,32 +413,25 @@ def map_jobs(
     fn: Callable[[Any], Any],
     jobs: Sequence[Any],
     n_workers: Optional[int],
-    backend: Optional[str] = None,
     chunksize: Optional[int] = None,
 ) -> JobResults:
     """Map ``fn`` over ``jobs``, returning results in job order.
 
     ``n_workers`` of ``None``/``0``/``1`` (or a single job) runs
-    serially regardless of ``backend``.  See the module docstring for
-    the backend semantics; ``chunksize`` only affects the process
-    backend (how many jobs ride one IPC round-trip, and the unit of
-    crash recovery).  The returned :class:`JobResults` behaves as a
-    plain list and carries a :class:`FailureReport` describing any
-    crash recoveries the process backend performed.
+    serially; otherwise the jobs run on the warm ``n_workers``-process
+    pool (see the module docstring).  ``chunksize`` sets how many jobs
+    ride one IPC round-trip, and is the unit of crash recovery.  The
+    returned :class:`JobResults` behaves as a plain list and carries a
+    :class:`FailureReport` naming what ran (``"serial"`` or
+    ``"process"``) and any crash recoveries performed.
     """
     jobs = list(jobs)
     if n_workers is None or n_workers <= 1 or len(jobs) <= 1:
         return JobResults(
             [fn(j) for j in jobs], FailureReport(backend="serial")
         )
-    workers = min(n_workers, len(jobs))
-    if resolve_backend(backend, fn, jobs) == "thread":
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return JobResults(
-                list(pool.map(fn, jobs)), FailureReport(backend="thread")
-            )
     if chunksize is None:
-        chunksize = max(1, len(jobs) // (4 * workers))
+        chunksize = max(1, len(jobs) // (4 * min(n_workers, len(jobs))))
     # Pools are keyed by the *requested* count so a warm 4-worker pool
     # is never silently used for an n_workers=2 call (that would skew
     # scaling measurements).

@@ -7,7 +7,7 @@ Examples::
     python -m repro.cli sc --subsets 8 --elements 14 --k 3 --f 2 --W 9
     python -m repro.cli sweep --family cycle --sizes 64,256,1024 --seeds 3
     python -m repro.cli sweep --family regular --sizes 10000 \\
-        --workers 4 --backend process --metering none --json
+        --workers 4 --metering none --json
     python -m repro.cli dynamic --family cycle --n 256 --batches 8 \\
         --stream random --mode incremental --verify
     python -m repro.cli serve --family cycle --n 128 --sessions 8 \\
@@ -16,10 +16,10 @@ Examples::
 
 ``sweep`` runs one instance per (size, seed) pair through the batched
 :func:`repro.simulator.runtime.sweep` API — ``--workers N`` executes
-instances on a pool, ``--backend process`` uses one warm process pool
-for true multi-core parallelism (results are bit-identical to serial),
-and ``--json`` emits one machine-readable record per instance for
-plotting.  ``vc``/``sweep`` with ``--algorithm broadcast`` also take
+instances on one warm N-process pool for true multi-core parallelism
+(results are bit-identical to serial), and ``--json`` emits one
+machine-readable record per instance for plotting.  ``vc``/``sweep``
+with ``--algorithm broadcast`` also take
 ``--replay {incremental,scratch}`` — the §5 history replay strategy
 (bit-identical results; ``scratch`` is the paper-literal reference).
 
@@ -52,7 +52,7 @@ bit-for-bit the state a lone session fed the same stream reaches.
 
 (The experiment harness regenerating the paper's tables lives in
 ``python -m repro.experiments.cli``; it takes the same
-``--workers``/``--backend``/``--json`` flags.)
+``--workers``/``--json`` flags.)
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ from repro.selfstab.transformer import SelfStabilisingMachine
 from repro.simulator.faults import FAULT_KINDS, adversary_from_spec
 from repro.simulator.runtime import ENGINES, run, sweep
 from repro._util.memo import REPLAY_MODES
-from repro._util.parallel import BACKENDS
 
 __all__ = ["main"]
 
@@ -167,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser(
         "sweep",
-        help="batched runs over sizes × seeds (multi-core with --backend process)",
+        help="batched runs over sizes × seeds (multi-core with --workers N)",
     )
     sw.add_argument("--family", default="cycle", help="graph family name")
     sw.add_argument(
@@ -204,13 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(results identical; 'scratch' is the paper-literal reference)",
     )
     sw.add_argument("--workers", type=int, default=None,
-                    help="pool size; omit to run serially")
-    sw.add_argument(
-        "--backend",
-        choices=list(BACKENDS),
-        default=None,
-        help="pool type for --workers (default: thread)",
-    )
+                    help="worker processes; omit to run serially")
     sw.add_argument("--json", action="store_true", help="machine-readable output")
 
     dy = sub.add_parser(
@@ -509,7 +502,7 @@ def _run_sweep(args) -> dict:
                 )
 
     started = obs.clock()
-    results = sweep(jobs, n_workers=args.workers, backend=args.backend)
+    results = sweep(jobs, n_workers=args.workers)
     elapsed = obs.clock() - started
 
     assemble = (
@@ -545,8 +538,8 @@ def _run_sweep(args) -> dict:
         "engine": args.engine if args.algorithm == "port" else None,
         "replay": args.replay if args.algorithm == "broadcast" else None,
         "workers": args.workers,
-        # What map_jobs actually ran: it goes serial for a single job
-        # and resolves "auto", so the flags alone can misreport it.
+        # What map_jobs actually ran: it goes serial for a single job,
+        # so --workers alone can misreport it.
         "backend": results.failure_report.backend,
         "wall_seconds": elapsed,
         "runs": records,

@@ -6,14 +6,14 @@ Usage::
     python -m repro.experiments.cli table1 figure3
     python -m repro.experiments.cli --all
     python -m repro.experiments.cli --all --markdown > results.md
-    python -m repro.experiments.cli scaling --workers 4 --backend process
+    python -m repro.experiments.cli scaling --workers 4
     python -m repro.experiments.cli section5 messages --json > results.json
 
-``--workers``/``--backend`` are forwarded to experiments whose ``run``
-accepts them (the batched-sweep ones: section5, messages, scaling, ...)
-— ``--backend process`` executes sweep instances on a warm process
-pool for true multi-core parallelism, with results bit-identical to
-the serial run.  ``--replay {incremental,scratch}`` is forwarded the
+``--workers N`` is forwarded to experiments whose ``run`` accepts it
+(the batched-sweep ones: section5, messages, scaling, churn) and
+executes their sweep instances on a warm N-process pool, with results
+bit-identical to the serial run; experiments without it ignore the
+flag.  ``--replay {incremental,scratch}`` is forwarded the
 same way (section5, selfstab, messages) and selects the replay
 strategy of the history-simulation / self-stabilising machines —
 results are bit-identical, only wall-clock changes.  ``--json`` emits
@@ -34,7 +34,6 @@ from repro import obs
 from repro.experiments import EXPERIMENT_MODULES
 from repro.experiments.common import ExperimentTable
 from repro._util.memo import REPLAY_MODES
-from repro._util.parallel import BACKENDS
 from repro.simulator.faults import FAULT_KINDS
 
 __all__ = ["main"]
@@ -43,7 +42,6 @@ __all__ = ["main"]
 def _run_one(
     name: str,
     n_workers: Optional[int],
-    backend: Optional[str],
     replay: Optional[str] = None,
     fault_kinds: Optional[List[str]] = None,
 ) -> List[ExperimentTable]:
@@ -52,8 +50,6 @@ def _run_one(
     accepted = inspect.signature(module.run).parameters
     if n_workers is not None and "n_workers" in accepted:
         kwargs["n_workers"] = n_workers
-    if backend is not None and "backend" in accepted:
-        kwargs["backend"] = backend
     if replay is not None and "replay" in accepted:
         kwargs["replay"] = replay
     if fault_kinds is not None and "fault_kinds" in accepted:
@@ -79,11 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="pool size for experiments that sweep (omitted = serial)",
-    )
-    parser.add_argument(
-        "--backend", choices=list(BACKENDS), default=None,
-        help="pool type for --workers (default: thread)",
+        help="worker processes for experiments that sweep (omitted = serial)",
     )
     parser.add_argument(
         "--replay", choices=list(REPLAY_MODES), default=None,
@@ -132,9 +124,7 @@ def main(argv: List[str] | None = None) -> int:
     records = []
     for name in names:
         started = obs.clock()
-        tables = _run_one(
-            name, args.workers, args.backend, args.replay, fault_kinds
-        )
+        tables = _run_one(name, args.workers, args.replay, fault_kinds)
         elapsed = obs.clock() - started
         if args.json:
             for table in tables:

@@ -16,24 +16,21 @@ def parallel_map(
     fn: Callable[[Any], Any],
     items: Iterable[Any],
     n_workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> List[Any]:
     """Order-preserving map over experiment configurations.
 
     The experiment-side face of the batched execution API (see
     :func:`repro.simulator.runtime.run_many` / ``sweep``): drivers map
     a per-configuration kernel over their sweep values and get results
-    in input order — serially by default, on a thread pool with
-    ``n_workers > 1``, or on a warm process pool with
-    ``backend="process"`` (the kernel must then be a module-level
-    function and configurations/results must pickle; experiment
-    kernels written as closures should use ``backend="auto"``, which
-    falls back to threads for them).  Deterministic results are
-    identical whatever the backend; kernels that *time themselves*
-    must run serially, since concurrent kernels — threads on the GIL,
-    or processes oversubscribing cores — inflate wall clocks.
+    in input order — serially by default, or on a warm process pool
+    with ``n_workers > 1`` (the kernel must then be a module-level
+    function, or a :func:`functools.partial` of one, and
+    configurations/results must pickle).  Deterministic results are
+    identical either way; kernels that *time themselves* must run
+    serially, since concurrent processes oversubscribing cores inflate
+    wall clocks.
     """
-    return map_jobs(fn, list(items), n_workers, backend=backend)
+    return map_jobs(fn, list(items), n_workers)
 
 
 def fmt(value: Any) -> str:

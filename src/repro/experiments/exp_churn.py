@@ -21,7 +21,7 @@ and a scratch session in lockstep at every rate, and tabulates
 
 Each churn rate is one independent, picklable kernel configuration, so
 the sweep runs through :func:`repro.experiments.common.parallel_map`
-with ``n_workers``/``backend`` (``backend="process"`` for multi-core).
+(``n_workers > 1`` runs the rates on a warm process pool).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ __all__ = ["run", "main"]
 def _churn_cell(cfg: Tuple[str, int, int, int, int, int]) -> Dict[str, Any]:
     """One churn rate: lockstep incremental + scratch sessions.
 
-    Module-level (picklable) so the sweep can use ``backend="process"``.
+    Module-level (picklable) so the sweep can run on worker processes.
     """
     family, n, W, rate, batches, seed = cfg
     graph = families.sized(family, n, seed=seed)
@@ -108,7 +108,6 @@ def run(
     W: int = 1,
     seed: int = 0,
     n_workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ExperimentTable:
     """Sweep churn rates; one lockstep session pair per rate."""
     rates = rates or [1, 2, 4]
@@ -135,7 +134,6 @@ def run(
         _churn_cell,
         [(family, n, W, rate, batches, seed) for rate in rates],
         n_workers=n_workers,
-        backend=backend,
     )
     for cell in cells:
         table.add_row(

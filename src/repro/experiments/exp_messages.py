@@ -10,10 +10,10 @@ quantitative.
 
 All three protocol runs go through one batched
 :func:`repro.simulator.runtime.sweep` call (each row carries its own
-machine); pass ``n_workers`` (and ``backend="process"`` for multi-core
-execution) to run them on a pool, and ``include_large`` to repeat the
-comparison on a large-n cycle.  ``replay`` configures both replay-aware
-rows (``"incremental"``/``"scratch"``, bit-identical tables — see
+machine); pass ``n_workers`` to run them on a warm process pool, and
+``include_large`` to repeat the comparison on a large-n cycle.
+``replay`` configures both replay-aware rows
+(``"incremental"``/``"scratch"``, bit-identical tables — see
 :mod:`repro._util.memo`).  The §5 history row still dominates the wall
 clock for n ≳ 10³ — with incremental replay the cost is the linearly
 growing messages being metered, no longer the replay loop itself; the
@@ -72,7 +72,6 @@ def run(
     n_workers: Optional[int] = None,
     include_large: bool = False,
     large_n: int = 64,
-    backend: Optional[str] = None,
     replay: str = "incremental",
 ) -> ExperimentTable:
     sizes = [n] + ([large_n] if include_large else [])
@@ -94,7 +93,7 @@ def run(
     jobs: List[Dict[str, Any]] = []
     for size in sizes:
         jobs.extend(_protocol_jobs(size, replay=replay))
-    results = sweep(jobs, n_workers=n_workers, backend=backend)
+    results = sweep(jobs, n_workers=n_workers)
 
     horizon = schedule_length(2, 1)
     for i, size in enumerate(sizes):

@@ -14,10 +14,10 @@ work (Koufogiannakis–Young 2011; Ben-Basat et al. 2018):
   simulation replays.
 
 Both job families are picklable, so this is also the showcase workload
-for ``sweep(..., backend="process")``: each (n, protocol) pair is one
+for ``sweep(..., n_workers=N)``: each (n, protocol) pair is one
 independent sweep instance, and one warm process pool amortises across
 the whole table.  ``benchmarks/bench_sweep_scaling.py`` times exactly
-this workload serial vs thread vs process and records the speedups in
+this workload serial vs process pool and records the speedup in
 ``BENCH_perf.json``.
 
 The §5 history-rebroadcast machine is deliberately *not* swept here at
@@ -79,12 +79,11 @@ def _jobs_for(n: int) -> List[Tuple[str, Dict[str, Any]]]:
 def run(
     ns: Optional[List[int]] = None,
     n_workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ExperimentTable:
     """Sweep both protocols over ``ns`` and tabulate rounds/messages.
 
     Defaults stay small so the tier-1 suite stays fast; ``main()`` (and
-    the CLI with ``--workers``/``--backend``) pushes past n = 10⁴.
+    the CLI with ``--workers``) pushes past n = 10⁴.
     """
     ns = ns or [64, 256]
     table = ExperimentTable(
@@ -103,9 +102,7 @@ def run(
 
     labelled = [(n, label, job) for n in ns for label, job in _jobs_for(n)]
     results = sweep(
-        [job for _n, _label, job in labelled],
-        n_workers=n_workers,
-        backend=backend,
+        [job for _n, _label, job in labelled], n_workers=n_workers
     )
 
     for (n, label, job), res in zip(labelled, results):
@@ -168,7 +165,7 @@ def write_figure(table: ExperimentTable, path: Optional[Path] = None) -> Path:
 
 
 def main() -> None:
-    table = run(ns=[1_000, 4_000, 10_000, 16_384], n_workers=4, backend="process")
+    table = run(ns=[1_000, 4_000, 10_000, 16_384], n_workers=4)
     print(table.render())
     print(f"figure data -> {write_figure(table)}")
 

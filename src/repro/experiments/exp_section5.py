@@ -13,10 +13,9 @@ Measures the three things the section claims:
 
 All runs go through the batched :func:`repro.simulator.runtime.sweep`
 API (each case carries its own machine, so replay memos stay
-per-instance); pass ``n_workers`` (and ``backend="process"`` for
-multi-core execution — cases are independent and pickle cleanly) to
-execute cases on a pool, and ``include_large`` for the large-n cycle
-that shows the history growth at scale.  ``replay`` selects the
+per-instance); pass ``n_workers`` to execute cases on a warm process
+pool (cases are independent and pickle cleanly), and ``include_large``
+for the large-n cycle that shows the history growth at scale.  ``replay`` selects the
 element-replay strategy of the simulation machines — the default
 ``"incremental"`` extends each replay by one A-round per G-round;
 ``"scratch"`` is the paper-literal quadratic re-simulation — with
@@ -71,7 +70,6 @@ def run(
     n_workers: Optional[int] = None,
     include_large: bool = False,
     large_n: int = 64,
-    backend: Optional[str] = None,
     replay: str = "incremental",
 ) -> ExperimentTable:
     table = ExperimentTable(
@@ -97,7 +95,6 @@ def run(
     sim_results = sweep(
         [broadcast_vc_job(g, w, replay=replay) for _name, g, w in cases],
         n_workers=n_workers,
-        backend=backend,
     )
     direct_insts = []
     for name, g, w in cases:
@@ -116,7 +113,7 @@ def run(
         for inst in direct_insts
         if inst is not None
     ]
-    direct_runs = sweep(direct_jobs, n_workers=n_workers, backend=backend)
+    direct_runs = sweep(direct_jobs, n_workers=n_workers)
     if not all(r.all_halted for r in direct_runs):
         raise RuntimeError("a direct Section 4 run did not halt")
     direct_results = iter(direct_runs)

@@ -14,16 +14,10 @@ measures:
 
 The per-case runs go through the batched
 :func:`repro.simulator.runtime.sweep` API (each case carries its own
-transformed machine, so replay memos stay per-instance); pass
-``n_workers`` to execute cases on a pool.  The message/crash
-adversaries are ``process_safe`` (their schedule is a pure hash of the
-seed), so ``backend="process"`` is allowed for them; the ``"state"``
-kind keeps a parent-side corruption counter and is rejected on the
-process backend — use the default thread pool when it is in the mix.
-Note the "corruptions injected" column reads the parent-side
-``adversary.events`` counters, which worker processes do not transport
-back: prefer the thread pool when the counts (not just recovery)
-matter.
+transformed machine, so replay memos stay per-instance).  They run
+serially: the "corruptions injected" column reads the parent-side
+``adversary.events`` counters, which a worker process would keep, and
+the ``"state"`` kind is not ``process_safe`` for the same reason.
 ``replay`` selects the pipeline recompute strategy of the transformer
 (``"incremental"`` skips levels whose inputs did not change,
 ``"scratch"`` recomputes all T+1 levels every round — identical
@@ -52,8 +46,6 @@ ACTIVE_FAULT_KINDS = tuple(k for k in FAULT_KINDS if k != "none")
 def run(
     rates: Optional[List[float]] = None,
     n: int = 6,
-    n_workers: Optional[int] = None,
-    backend: Optional[str] = None,
     replay: str = "incremental",
     fault_kinds: Optional[List[str]] = None,
 ) -> ExperimentTable:
@@ -100,7 +92,7 @@ def run(
         }
         for adversary in adversaries
     ]
-    results = sweep(jobs, n_workers=n_workers, backend=backend)
+    results = sweep(jobs)
 
     for (kind, rate), adversary, res in zip(cases, adversaries, results):
         match = res.outputs == reference
@@ -123,7 +115,7 @@ def run(
 
 
 def main() -> None:
-    print(run(n_workers=2).render())
+    print(run().render())
 
 
 if __name__ == "__main__":

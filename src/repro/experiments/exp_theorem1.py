@@ -15,6 +15,7 @@ Three sweeps, each isolating one variable of the bound:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional
 
 from repro._util.logstar import log_star
@@ -28,11 +29,18 @@ from repro.graphs.weights import unit_weights
 __all__ = ["run_n_sweep", "run_delta_sweep", "run_w_sweep", "run", "main"]
 
 
+def _n_sweep_case(degree: int, n: int):
+    """One n-sweep row (module-level: picklable for worker processes)."""
+    g = families.random_regular(degree, n, seed=1)
+    res = maximal_edge_packing(g, unit_weights(n))
+    chk = check_edge_packing(g, unit_weights(n), res.y)
+    return n, res, chk
+
+
 def run_n_sweep(
     ns: Optional[List[int]] = None,
     degree: int = 3,
     n_workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ExperimentTable:
     ns = ns or [8, 16, 32, 64]
     table = ExperimentTable(
@@ -40,17 +48,8 @@ def run_n_sweep(
         title=f"rounds vs n on {degree}-regular graphs (Δ={degree}, W=1)",
         columns=["n", "rounds measured", "rounds formula", "maximal packing"],
     )
-
-    def one(n: int):
-        g = families.random_regular(degree, n, seed=1)
-        res = maximal_edge_packing(g, unit_weights(n))
-        chk = check_edge_packing(g, unit_weights(n), res.y)
-        return n, res, chk
-
-    # ``one`` is a closure, so backend="process" cannot pickle it;
-    # "auto" detects that and keeps threads.  Callers wanting true
-    # multi-core sweeps use exp_scaling, whose jobs are picklable.
-    for n, res, chk in parallel_map(one, ns, n_workers, backend="auto" if backend else None):
+    cases = parallel_map(partial(_n_sweep_case, degree), ns, n_workers)
+    for n, res, chk in cases:
         table.add_row(
             n=n,
             **{

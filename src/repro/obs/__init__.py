@@ -30,8 +30,8 @@ The contract every consumer relies on:
 * **One merged trace per run.**  Worker processes (process-pool
   chunks, serving workers) buffer their spans locally and ship them
   back with their results; the parent tracer absorbs them under
-  distinct pid lanes, so a process-backend sweep or a pooled serving
-  host still produces a single loadable trace.
+  distinct pid lanes, so a multi-worker sweep or a pooled serving host
+  still produces a single loadable trace.
 
 Install a tracer for a region with :func:`tracing`::
 

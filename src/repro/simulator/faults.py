@@ -29,11 +29,12 @@ adversary (pinned by ``tests/test_faults_messages.py``).
 :func:`_unit` — a :func:`hashlib.blake2b` hash of ``(seed, *key)``
 where the key names the round and the link or node.  The schedule is
 therefore a pure function of the constructor arguments: identical
-across engines, across thread/process backends, across platforms, and
-across repeated runs.  Adversaries whose behaviour is pure in this
-sense set ``process_safe = True`` and are accepted by
-``backend="process"`` (their diagnostic ``events`` counter then stays
-in the worker — only the counter, never the schedule, is lost).
+across engines, in the parent and in worker processes, across
+platforms, and across repeated runs.  Adversaries whose behaviour is
+pure in this sense set ``process_safe = True`` and are accepted by
+``sweep``/``run_many`` with ``n_workers > 1`` (their diagnostic
+``events`` counter then stays in the worker — only the counter, never
+the schedule, is lost).
 
 Per-round hook order (both engines):
 
@@ -126,8 +127,8 @@ class FaultAdversary:
     """
 
     #: True when the adversary's schedule is a pure function of its
-    #: constructor arguments (hash-seeded, no shared RNG): the process
-    #: backend accepts it, with only the diagnostic ``events`` counter
+    #: constructor arguments (hash-seeded, no shared RNG): worker
+    #: processes accept it, with only the diagnostic ``events`` counter
     #: staying behind in the worker.  Conservative default: False.
     process_safe = False
 

@@ -1130,34 +1130,34 @@ def _deliver_links(
 # ----------------------------------------------------------------------
 
 
-def _check_process_backend(backend: Optional[str], kwargs: Mapping[str, Any]) -> None:
+def _check_process_backend(
+    n_workers: Optional[int], kwargs: Mapping[str, Any]
+) -> None:
     """Reject run options whose effects cannot cross a process boundary.
 
-    An ``observer`` works by side effect, and a ``fault_adversary`` may
+    With ``n_workers > 1`` runs execute in worker processes.  An
+    ``observer`` works by side effect, and a ``fault_adversary`` may
     accumulate state during the run (e.g. a corruption log read after
     it); in a worker process those parent-side effects happen in the
-    child's copy and are silently lost, so the process backend refuses
-    both up front (``"auto"`` would usually fall back to threads anyway
-    — these are typically closures or stateful objects — but a
-    picklable one must not slip through and go quiet).
+    child's copy and are silently lost, so both are refused up front.
 
     Adversaries that declare ``process_safe = True`` (the seeded
     message-fault family: their whole schedule is a pure hash of the
     seed, so the run outcome carries no parent-side state) are allowed.
     """
-    if backend not in ("process", "auto"):
+    if n_workers is None or n_workers <= 1:
         return
     if kwargs.get("observer") is not None:
         raise ValueError(
             "observer side effects do not propagate from worker "
-            "processes; use backend='thread' (or serial) instead"
+            "processes; run serially (n_workers=None) instead"
         )
     adversary = kwargs.get("fault_adversary")
     if adversary is not None and not getattr(adversary, "process_safe", False):
         raise ValueError(
             "fault_adversary side effects do not propagate from worker "
             "processes (its diagnostic counters would stay in the "
-            "child); use backend='thread' (or serial), or a "
+            "child); run serially (n_workers=None), or use a "
             "process_safe adversary"
         )
 
@@ -1171,7 +1171,7 @@ def _run_with_seed(
     globals_map: Optional[Mapping[str, Any]],
     run_kwargs: Mapping[str, Any],
 ) -> RunResult:
-    """Module-level per-seed job body (picklable for backend="process")."""
+    """Module-level per-seed job body (picklable for worker processes)."""
     return run(
         graph, machine, inputs=inputs, globals_map=globals_map,
         seed=seed, **run_kwargs,
@@ -1185,29 +1185,25 @@ def run_many(
     inputs: Optional[Sequence[Any]] = None,
     globals_map: Optional[Mapping[str, Any]] = None,
     n_workers: Optional[int] = None,
-    backend: Optional[str] = None,
     **kwargs: Any,
 ) -> List[RunResult]:
     """One :func:`run` per seed on a fixed graph/machine, in seed order.
 
     Amortises context/topology setup across repetitions of a randomised
     experiment.  Extra ``kwargs`` (``max_rounds``, ``metering``,
-    ``replay``, ...) are forwarded to every run.  With ``n_workers > 1`` the runs
-    execute on a pool chosen by ``backend`` — ``"thread"`` (default;
-    machine hooks must be thread-safe, pure machines are),
-    ``"process"`` (true multi-core parallelism; graph, machine, inputs
-    and results must pickle — every shipped machine does), or
-    ``"auto"`` (process when everything pickles, else thread).  Results
-    are in the same order as ``seeds`` and bit-for-bit independent of
-    the backend.
+    ``replay``, ...) are forwarded to every run.  With
+    ``n_workers > 1`` the runs execute on a warm process pool (graph,
+    machine, inputs and results must pickle — every shipped machine
+    does).  Results are in the same order as ``seeds`` and bit-for-bit
+    equal to a serial run.
     """
-    _check_process_backend(backend, kwargs)
+    _check_process_backend(n_workers, kwargs)
     one = partial(
         _run_with_seed,
         graph=graph, machine=machine, inputs=inputs,
         globals_map=globals_map, run_kwargs=kwargs,
     )
-    return map_jobs(one, list(seeds), n_workers, backend=backend)
+    return map_jobs(one, list(seeds), n_workers)
 
 
 def _run_sweep_instance(
@@ -1216,7 +1212,7 @@ def _run_sweep_instance(
     machine: Optional[Machine],
     run_kwargs: Mapping[str, Any],
 ) -> RunResult:
-    """Module-level per-instance job body (picklable for backend="process")."""
+    """Module-level per-instance job body (picklable for worker processes)."""
 
     def need_machine() -> Machine:
         if machine is None:
@@ -1254,7 +1250,6 @@ def sweep(
     instances: Iterable[Any],
     machine: Optional[Machine] = None,
     n_workers: Optional[int] = None,
-    backend: Optional[str] = None,
     **kwargs: Any,
 ) -> List[RunResult]:
     """One :func:`run` per instance, in instance order.
@@ -1268,23 +1263,22 @@ def sweep(
     instance brings its own machine, the ``machine`` argument may be
     omitted entirely.
 
-    With ``n_workers > 1`` instances execute on a pool chosen by
-    ``backend``: ``"thread"`` (default), ``"process"`` (multi-core;
-    instances, machines and results must pickle) or ``"auto"``.
-    Results are bit-for-bit independent of the backend; instances are
-    chunked so one warm process pool amortises across a whole
-    experiment table (see :mod:`repro._util.parallel`).
+    With ``n_workers > 1`` instances execute on a warm process pool
+    (instances, machines and results must pickle).  Results are
+    bit-for-bit equal to a serial run; instances are chunked so one
+    warm pool amortises across a whole experiment table (see
+    :mod:`repro._util.parallel`).
     """
     instances = list(instances)
-    _check_process_backend(backend, kwargs)
+    _check_process_backend(n_workers, kwargs)
     for inst in instances:
         # Mapping instances merge into the run() kwargs in the worker,
         # so they can smuggle the same process-unsafe options past the
         # kwargs check above.
         if isinstance(inst, Mapping):
-            _check_process_backend(backend, inst)
+            _check_process_backend(n_workers, inst)
     one = partial(_run_sweep_instance, machine=machine, run_kwargs=kwargs)
-    return map_jobs(one, instances, n_workers, backend=backend)
+    return map_jobs(one, instances, n_workers)
 
 
 # ----------------------------------------------------------------------

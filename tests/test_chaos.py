@@ -89,9 +89,7 @@ class TestWorkerKillRecovery:
         serial = map_jobs(_kill_worker_once, jobs, None)
         # chunksize=1: each job is its own chunk, so the two kills land
         # in two distinct chunks and force two separate recoveries
-        chaos = map_jobs(
-            _kill_worker_once, jobs, 2, backend="process", chunksize=1
-        )
+        chaos = map_jobs(_kill_worker_once, jobs, 2, chunksize=1)
         # field-for-field RunResult equality, naming the locus on failure
         assert_result_lists_equal(chaos, serial, label_a="chaos", label_b="serial")
 
@@ -116,7 +114,7 @@ class TestWorkerKillRecovery:
         # in the undisturbed case and stays equal to serial.
         jobs = _sim_jobs()
         serial = sweep(jobs)
-        pooled = sweep(jobs, n_workers=2, backend="process")
+        pooled = sweep(jobs, n_workers=2)
         assert_result_lists_equal(serial, pooled, label_a="serial", label_b="pooled")
         assert isinstance(pooled, JobResults)
         assert pooled.failure_report.backend == "process"
@@ -128,9 +126,7 @@ class TestWorkerKillRecovery:
         re-dispatch budget and runs in the parent (where the guard
         disarms it), so the call still completes."""
         jobs = [(PARENT_PID, v) for v in range(6)]
-        results = map_jobs(
-            _always_kill, jobs, 2, backend="process", chunksize=1
-        )
+        results = map_jobs(_always_kill, jobs, 2, chunksize=1)
         assert list(results) == [2 * v for v in range(6)]
         report = results.failure_report
         assert report.pool_restarts >= parallel._MAX_CHUNK_REDISPATCH - 1
@@ -146,9 +142,7 @@ class TestWorkerKillRecovery:
         monkeypatch.setattr(parallel, "_MAX_POOL_FAILURES", 1)
         monkeypatch.setattr(parallel, "_MAX_CHUNK_REDISPATCH", 99)
         jobs = [(PARENT_PID, v) for v in range(6)]
-        results = map_jobs(
-            _always_kill, jobs, 2, backend="process", chunksize=1
-        )
+        results = map_jobs(_always_kill, jobs, 2, chunksize=1)
         assert list(results) == [2 * v for v in range(6)]
         report = results.failure_report
         assert report.degraded_to_serial
@@ -163,7 +157,7 @@ class TestWorkerKillRecovery:
         """The BrokenProcessPool handler must not orphan or drop warm
         pools of *other* worker counts (satellite: idempotent cleanup)."""
         # warm a 3-worker pool with an innocent job
-        assert map_jobs(_double, [1, 2, 3], 3, backend="process") == [2, 4, 6]
+        assert map_jobs(_double, [1, 2, 3], 3) == [2, 4, 6]
         pool3 = parallel._POOLS.get(("map", 3))
         assert pool3 is not None
         # serving pools share the registry and must survive it too
@@ -171,19 +165,21 @@ class TestWorkerKillRecovery:
 
         marker = str(tmp_path / "kill-retire")
         jobs = [(marker, PARENT_PID, kwargs) for kwargs in _sim_jobs()[:3]]
-        chaos = map_jobs(
-            _kill_worker_once, jobs, 2, backend="process", chunksize=1
-        )
+        chaos = map_jobs(_kill_worker_once, jobs, 2, chunksize=1)
         assert chaos.failure_report.pool_restarts >= 1
         # the 3-worker pool survived the 2-worker pool's funeral
         assert parallel._POOLS.get(("map", 3)) is pool3
         assert parallel.serve_pool(0) is serve0
-        assert map_jobs(_double, [5], 3, backend="process") == [10]
+        # two jobs: a single job would run serially and prove nothing
+        survivor = map_jobs(_double, [5, 6], 3)
+        assert survivor == [10, 12]
+        assert survivor.failure_report.backend == "process"
+        assert survivor.failure_report.clean
         parallel.retire_serve_pools(0)
         assert parallel._POOLS.get(("map", 3)) is pool3
 
 
-def _double(x):  # module-level: picklable for the process backend
+def _double(x):  # module-level: picklable for worker processes
     return 2 * x
 
 
@@ -195,11 +191,6 @@ class TestFailureReportPlumbing:
         assert res.failure_report == FailureReport(backend="serial")
         assert res.failure_report.clean
 
-    def test_thread_results_carry_clean_report(self):
-        res = map_jobs(_double, [1, 2, 3], 2, backend="thread")
-        assert res == [2, 4, 6]
-        assert res.failure_report.backend == "thread"
-
     def test_job_results_equal_plain_lists(self):
         # the contract that lets every existing caller ignore the report
         res = JobResults([1, 2], FailureReport(backend="serial"))
@@ -209,7 +200,7 @@ class TestFailureReportPlumbing:
 
     def test_genuine_job_exceptions_still_propagate(self):
         with pytest.raises(ZeroDivisionError):
-            map_jobs(_reciprocal, [1, 2, 0, 4], 2, backend="process")
+            map_jobs(_reciprocal, [1, 2, 0, 4], 2)
 
 
 def _reciprocal(x):  # module-level: picklable

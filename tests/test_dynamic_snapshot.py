@@ -195,6 +195,14 @@ def _pickle_roundtrip(obj):
     return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
+def _child_bytes(obj):
+    """``_pickle_roundtrip`` in a worker process.  Two jobs, because a
+    single job would run serially in the parent."""
+    out = map_jobs(_pickle_roundtrip, [obj, obj], 2)
+    assert out.failure_report.backend == "process"
+    return out[0]
+
+
 class TestProcessBoundary:
     def test_restore_in_child_process(self):
         control = _vc_session()
@@ -209,12 +217,8 @@ class TestProcessBoundary:
         control.apply(edits)
         # two identical child jobs: also proves the restore is
         # deterministic across processes
-        out = map_jobs(
-            _restore_apply_snapshot,
-            [(blob, edits), (blob, edits)],
-            2,
-            backend="process",
-        )
+        out = map_jobs(_restore_apply_snapshot, [(blob, edits)] * 2, 2)
+        assert out.failure_report.backend == "process"
         (res1, blob1), (res2, blob2) = out
         assert_run_results_equal(res1, control.result,
                                  label_a="child-1", label_b="control")
@@ -234,9 +238,8 @@ class TestProcessBoundary:
         ids=["scaledint", "scaledint-neg"],
     )
     def test_scaledint_bytes_stable_across_processes(self, obj):
-        child_bytes = map_jobs(_pickle_roundtrip, [obj], 2, backend="process")
         # loads(child bytes) == the original, field for field
-        clone = pickle.loads(child_bytes[0])
+        clone = pickle.loads(_child_bytes(obj))
         assert type(clone) is type(obj)
         assert clone == obj
         assert clone.num == obj.num
@@ -246,13 +249,11 @@ class TestProcessBoundary:
     def test_run_result_field_for_field_across_processes(self):
         res = run(**edge_packing_job(families.cycle_graph(10),
                                      [1, 2, 3, 1, 2, 3, 1, 2, 3, 1]))
-        child_bytes = map_jobs(_pickle_roundtrip, [res], 2, backend="process")
-        clone = pickle.loads(child_bytes[0])
+        clone = pickle.loads(_child_bytes(res))
         assert_run_results_equal(clone, res, label_a="clone", label_b="original")
 
     def test_generational_memo_contents_survive(self):
         memo = GenerationalMemo()
         memo.put(3, "history", {"rounds": 5, "data": (1, 2, 3)})
-        child_bytes = map_jobs(_pickle_roundtrip, [memo], 2, backend="process")
-        clone = pickle.loads(child_bytes[0])
+        clone = pickle.loads(_child_bytes(memo))
         assert clone.get(3, "history") == memo.get(3, "history")

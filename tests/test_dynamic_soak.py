@@ -9,16 +9,14 @@ drift compounds: a warm-restart bug that survives 4 batches rarely
 survives 100 (stale history columns, memo leaks across generations,
 port renumbering debt from repeated vertex churn all accumulate).
 
-The soak also pins the memory contract: :class:`GenerationalMemo`
-retires stale generations as the stream advances — the incremental
-session's memo never holds more than two generation buckets, no
-matter how long the stream runs.  And it pins that the light cone
-itself ran: an incremental repair that raises falls back to an exact
-full solve, so each batch is applied under a tracer that must record
-no ``engine.fallback`` event.
+The soak also pins the memory contract: the incremental session holds
+one recorded history, whose columns cover exactly the current graph's
+nodes after every batch, however long the stream runs.  And it pins
+that the light cone itself ran: an incremental repair that raises
+falls back to an exact full solve, so each batch is applied under a
+tracer that must record no ``engine.fallback`` event.
 
-CI runs this suite in the docs job under a hard timeout; cells are
-sized so the whole module stays well inside it.
+CI runs this suite once, in the tier-1 job.
 """
 
 from __future__ import annotations

@@ -53,6 +53,8 @@ class TestTheorem1Experiments:
         rounds = t.column("rounds measured")
         assert rounds[0] == rounds[1]
         assert all(t.column("maximal packing"))
+        # the per-n kernel crosses a process boundary unchanged
+        assert run_n_sweep(ns=[8, 16], degree=3, n_workers=2).rows == t.rows
 
     def test_delta_sweep_monotone(self):
         from repro.experiments.exp_theorem1 import run_delta_sweep
@@ -144,7 +146,7 @@ class TestSection5Experiment:
         assert run(replay="scratch").rows == run(replay="incremental").rows
 
     def test_sweep_workers_and_large_case(self):
-        """The sweep port: thread-pooled execution and the large-n case
+        """The sweep port: process-pooled execution and the large-n case
         (shrunk to keep the smoke test fast) match the serial run."""
         from repro.experiments.exp_section5 import run
 
@@ -177,14 +179,14 @@ class TestSelfStabExperiment:
         assert all(t.column("recovered within T"))
 
     def test_sweep_pool_and_replay_modes_agree(self):
-        """The per-rate sweep on a thread pool, in both replay modes —
-        identical tables (process backend is rejected here: the fault
-        adversary's corruption counter is a parent-side effect)."""
+        """The per-rate sweep in both replay modes — identical tables.
+        (It runs serially: the fault adversaries' corruption counters
+        are parent-side effects a worker process would keep.)"""
         from repro.experiments.exp_selfstab import run
 
         scratch = run(rates=[0.0, 0.3], n=5, replay="scratch")
-        pooled = run(rates=[0.0, 0.3], n=5, n_workers=2, replay="incremental")
-        assert pooled.rows == scratch.rows
+        incremental = run(rates=[0.0, 0.3], n=5, replay="incremental")
+        assert incremental.rows == scratch.rows
 
     def test_all_fault_kinds_recover(self):
         """The message-level and crash adversaries, not just state
@@ -303,7 +305,7 @@ class TestScalingExperiment:
         from repro.experiments.exp_scaling import run
 
         serial = run(ns=[24, 48])
-        pooled = run(ns=[24, 48], n_workers=2, backend="process")
+        pooled = run(ns=[24, 48], n_workers=2)
         assert serial.rows == pooled.rows
 
     def test_figure_data_shape(self, tmp_path):
@@ -328,9 +330,12 @@ class TestCliBackendFlags:
     def test_workers_and_backend_forwarded(self, capsys):
         from repro.experiments.cli import main
 
-        assert main(["scaling", "--workers", "2", "--backend", "auto"]) == 0
+        assert main(["scaling", "--workers", "2"]) == 0
         out = capsys.readouterr().out
         assert "EXP-SCALE" in out
+        # --workers always means processes: there is no --backend
+        with pytest.raises(SystemExit):
+            main(["scaling", "--workers", "2", "--backend", "process"])
 
     def test_json_output_parses(self, capsys):
         import json
@@ -346,9 +351,10 @@ class TestCliBackendFlags:
     def test_backend_ignored_by_experiments_without_sweeps(self, capsys):
         from repro.experiments.cli import main
 
-        # figure2 has no n_workers/backend parameters; flags are no-ops
-        assert main(["figure2", "--workers", "2", "--backend", "process"]) == 0
-        assert "EXP-F2" in capsys.readouterr().out
+        # figure2 and selfstab take no n_workers; the flag is a no-op
+        assert main(["figure2", "selfstab", "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "EXP-F2" in out and "EXP-SS" in out
 
 
 class TestChurnExperiment:
@@ -367,7 +373,7 @@ class TestChurnExperiment:
         from repro.experiments.exp_churn import run
 
         serial = run(rates=[1, 2], n=64, batches=2)
-        pooled = run(rates=[1, 2], n=64, batches=2, n_workers=2, backend="process")
+        pooled = run(rates=[1, 2], n=64, batches=2, n_workers=2)
 
         def algorithmic(rows):
             # latency columns are wall clock — everything else must be

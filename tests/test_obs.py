@@ -5,7 +5,7 @@ The observability layer (:mod:`repro.obs`) promises three things:
 1. **No observer effect.**  Installing a tracer changes *nothing* about
    a run's results: every :class:`~repro.simulator.runtime.RunResult`
    field is identical traced and untraced, on every engine (object,
-   columnar, reference), every pool backend, and every
+   columnar, reference), serial and process-pooled, and every
    dynamic/serving mode.  This suite is that contract's differential
    pin.
 2. **Disabled is a no-op.**  With no tracer installed, instrumentation
@@ -109,7 +109,7 @@ def test_traced_equals_untraced_reference():
     assert sel["args"]["engine"] == "reference"
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_traced_equals_untraced_sweep_backends(backend):
     from repro.core.edge_packing import edge_packing_job
 
@@ -117,11 +117,13 @@ def test_traced_equals_untraced_sweep_backends(backend):
     for n in (16, 24):
         graph = families.cycle_graph(n)
         jobs.append(edge_packing_job(graph, unit_weights(n)))
-    base = sweep(jobs, n_workers=2, backend=backend)
-    traced, tracer = _traced(sweep, jobs, n_workers=2, backend=backend)
+    workers = 2 if backend == "process" else None
+    base = sweep(jobs, n_workers=workers)
+    traced, tracer = _traced(sweep, jobs, n_workers=workers)
+    assert traced.failure_report.backend == backend
     for b, t in zip(base, traced):
         assert_run_results_equal(b, t, "untraced", "traced")
-    # Worker (or worker-thread) round spans made it into the trace.
+    # Round spans (worker-side ones, when pooled) made it into the trace.
     assert tracer.events(SPAN_ROUND)
     if backend == "process":
         # Worker processes trace into their own buffers; the merged

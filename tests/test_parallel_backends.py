@@ -1,12 +1,16 @@
-"""Contracts for the process-parallel execution backend.
+"""Contracts for process-parallel execution (``n_workers > 1``).
 
-Two promises make ``backend="process"`` safe to flip on anywhere:
+Two promises make ``n_workers`` safe to raise anywhere:
 
 * **picklability** — every shipped machine class, the graph types and
   :class:`RunResult` round-trip through :mod:`pickle` unchanged (the
   process pool's transport);
-* **determinism** — a sweep executed on the process backend returns
-  results field-for-field identical to the serial (and thread) run.
+* **determinism** — a sweep executed on the process pool returns
+  results field-for-field identical to the serial run.
+
+Work that cannot cross a process boundary fails loudly instead of
+degrading: unpicklable callables raise pickle's error, and run options
+with parent-side effects are rejected up front.
 
 These are the tests the CI docs/backends job runs explicitly; they are
 also part of tier-1.
@@ -18,13 +22,7 @@ import pickle
 
 import pytest
 
-from repro._util.parallel import (
-    BACKENDS,
-    FailureReport,
-    JobResults,
-    map_jobs,
-    resolve_backend,
-)
+from repro._util.parallel import FailureReport, JobResults, map_jobs
 from repro.baselines.edge_colouring import EdgeColouringPackingMachine
 from repro.baselines.kvy import KVYMachine
 from repro.baselines.matching import (
@@ -117,8 +115,12 @@ class TestPicklability:
         assert roundtrip(res) == res
 
 
-def _double(x):  # module-level: picklable for the process backend
+def _double(x):  # module-level: picklable for worker processes
     return 2 * x
+
+
+# Module-level, yet unpicklable: a lambda has no importable name.
+_IDENTITY = lambda x: x  # noqa: E731
 
 
 def _noop_observer(rounds, states, outboxes):  # module-level: picklable
@@ -139,42 +141,37 @@ class _StatefulAdversary:
 
 class TestMapJobs:
     def test_serial_short_circuit(self):
-        assert map_jobs(_double, [1, 2, 3], None) == [2, 4, 6]
-        assert map_jobs(_double, [1, 2, 3], 0) == [2, 4, 6]
-        assert map_jobs(_double, [1, 2, 3], 1) == [2, 4, 6]
+        for workers in (None, 0, 1):
+            res = map_jobs(_double, [1, 2, 3], workers)
+            assert res == [2, 4, 6]
+            assert res.failure_report.backend == "serial"
 
-    @pytest.mark.parametrize("backend", [None, "thread", "process", "auto"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_order_preserved_on_every_backend(self, backend):
         jobs = list(range(23))  # odd size: exercises uneven chunking
-        assert map_jobs(_double, jobs, 3, backend=backend) == [
-            2 * j for j in jobs
-        ]
+        res = map_jobs(_double, jobs, 3 if backend == "process" else None)
+        assert res == [2 * j for j in jobs]
+        assert res.failure_report.backend == backend
 
     def test_explicit_chunksize(self):
         jobs = list(range(10))
-        assert map_jobs(_double, jobs, 2, backend="process", chunksize=4) == [
-            2 * j for j in jobs
-        ]
+        assert map_jobs(_double, jobs, 2, chunksize=4) == [2 * j for j in jobs]
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            map_jobs(_double, [1, 2], 2, backend="greenlet")
-
-    def test_auto_falls_back_to_thread_for_closures(self):
-        marker = object()  # unpicklable free variable
-        fn = lambda x: (x, marker)[0]  # noqa: E731
-        assert resolve_backend("auto", fn, [1]) == "thread"
-        assert map_jobs(fn, [1, 2, 3], 2, backend="auto") == [1, 2, 3]
-
-    def test_auto_picks_process_for_picklable(self):
-        assert resolve_backend("auto", _double, [1]) == "process"
-
-    def test_none_keeps_thread_compat(self):
-        assert resolve_backend(None, _double, [1]) == "thread"
+    def test_unpicklable_work_fails_loudly(self):
+        # no silent serial fallback: pickle's own error leaves the pool
+        with pytest.raises(pickle.PicklingError):
+            map_jobs(_IDENTITY, [1, 2, 3], 2)
+        marker = object()
+        with pytest.raises(AttributeError, match="local object"):
+            map_jobs(lambda x: (x, marker)[0], [1, 2, 3], 2)
+        # ...and the warm pool still serves the next call
+        res = map_jobs(_double, [1, 2, 3], 2)
+        assert res == [2, 4, 6]
+        assert res.failure_report.backend == "process"
 
 
 class TestProcessBackendEquivalence:
-    """backend="process" results equal the serial results field-for-field."""
+    """``n_workers > 1`` results equal the serial results field-for-field."""
 
     def test_sweep_mixed_instances(self):
         g1 = families.cycle_graph(12)
@@ -192,7 +189,8 @@ class TestProcessBackendEquivalence:
             },
         ]
         serial = sweep(jobs)
-        pooled = sweep(jobs, n_workers=2, backend="process")
+        pooled = sweep(jobs, n_workers=2)
+        assert pooled.failure_report.backend == "process"
         assert len(serial) == len(pooled)
         for a, b in zip(serial, pooled):
             assert a == b  # RunResult dataclass: every field compared
@@ -200,9 +198,7 @@ class TestProcessBackendEquivalence:
     def test_sweep_setcover_instance_routing(self):
         insts = [random_instance(4, 6, k=2, f=2, W=3, seed=s) for s in range(3)]
         serial = sweep(insts, FractionalPackingMachine())
-        pooled = sweep(
-            insts, FractionalPackingMachine(), n_workers=2, backend="process"
-        )
+        pooled = sweep(insts, FractionalPackingMachine(), n_workers=2)
         assert serial == pooled
 
     def test_run_many_seeded(self):
@@ -212,19 +208,10 @@ class TestProcessBackendEquivalence:
         )
         serial = run_many(g, EdgePackingMachine(), seeds=[1, 2, 3, 4], **kwargs)
         pooled = run_many(
-            g, EdgePackingMachine(), seeds=[1, 2, 3, 4],
-            n_workers=2, backend="process", **kwargs,
+            g, EdgePackingMachine(), seeds=[1, 2, 3, 4], n_workers=2, **kwargs,
         )
         assert serial == pooled
-
-    def test_thread_and_process_agree(self):
-        jobs = [
-            edge_packing_job(families.cycle_graph(n), unit_weights(n))
-            for n in (8, 12, 16, 20)
-        ]
-        threaded = sweep(jobs, n_workers=2, backend="thread")
-        pooled = sweep(jobs, n_workers=2, backend="process")
-        assert threaded == pooled
+        assert pooled.failure_report.backend == "process"
 
     def test_observer_rejected_on_process_backend(self):
         g = families.cycle_graph(6)
@@ -232,7 +219,6 @@ class TestProcessBackendEquivalence:
             sweep(
                 [edge_packing_job(g, unit_weights(6))],
                 n_workers=2,
-                backend="process",
                 observer=lambda r, s, o: None,
             )
 
@@ -243,7 +229,7 @@ class TestProcessBackendEquivalence:
         job = edge_packing_job(g, unit_weights(6))
         job["observer"] = _noop_observer  # picklable: would slip through
         with pytest.raises(ValueError, match="observer"):
-            sweep([job], n_workers=2, backend="process")
+            sweep([job], n_workers=2)
 
     def test_fault_adversary_rejected_on_process_backend(self):
         # adversaries may accumulate state (corruption logs) the caller
@@ -253,13 +239,9 @@ class TestProcessBackendEquivalence:
             run_many(
                 g, EdgePackingMachine(), seeds=[1, 2],
                 inputs=unit_weights(6), globals_map={"delta": 2, "W": 1},
-                n_workers=2, backend="process",
+                n_workers=2,
                 fault_adversary=_StatefulAdversary(),
             )
-
-    def test_backends_tuple_is_public_contract(self):
-        # the CLIs build their --backend choices from this
-        assert BACKENDS == ("thread", "process", "auto")
 
     def test_process_safe_adversary_accepted_on_process_backend(self):
         # the seeded message-fault adversaries declare process_safe:
@@ -279,7 +261,7 @@ class TestProcessBackendEquivalence:
         pooled = run_many(
             g, machine, seeds=[1, 2, 3],
             fault_adversary=MessageLoss(4, rate=0.3, seed=7),
-            n_workers=2, backend="process", **kwargs,
+            n_workers=2, **kwargs,
         )
         assert serial == pooled
 
@@ -288,7 +270,7 @@ class TestProcessBackendEquivalence:
             edge_packing_job(families.cycle_graph(n), unit_weights(n))
             for n in (8, 10, 12)
         ]
-        pooled = sweep(jobs, n_workers=2, backend="process")
+        pooled = sweep(jobs, n_workers=2)
         assert isinstance(pooled, JobResults)
         assert isinstance(pooled.failure_report, FailureReport)
         assert pooled.failure_report.clean
@@ -296,7 +278,7 @@ class TestProcessBackendEquivalence:
 
 def _fault_schedule_run(seed):
     """Per-seed job building its adversary *inside* the job: determinism
-    across backends then hinges purely on the hash schedule."""
+    across processes then hinges purely on the hash schedule."""
     g = families.cycle_graph(10)
     T = 12
     job = edge_packing_job(g, unit_weights(10))
@@ -312,13 +294,14 @@ def _fault_schedule_run(seed):
 
 
 class TestFaultScheduleDeterminism:
-    """Same seed ⇒ identical fault schedule on every backend."""
+    """Same seed ⇒ identical fault schedule in the parent and in workers."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_backends_agree_under_faults(self, backend):
         seeds = [1, 2, 3, 4]
         serial = map_jobs(_fault_schedule_run, seeds, None)
-        pooled = map_jobs(_fault_schedule_run, seeds, 2, backend=backend)
+        pooled = map_jobs(_fault_schedule_run, seeds, 2)
+        assert pooled.failure_report.backend == backend
         assert serial == pooled  # RunResult dataclass: every field
 
 

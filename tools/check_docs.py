@@ -9,22 +9,22 @@ What it enforces (CI `docs` job; run locally with
    the CLIs fail here), and the ``python`` block in README.md actually
    executes;
 2. the ``--help`` texts of both CLIs still advertise the flags the
-   docs promise (``--workers``/``--backend``/``--json``/``--replay``),
+   docs promise (``--workers``/``--json``/``--replay``),
    the library CLI advertises the ``dynamic`` subcommand, and that
    subcommand documents its knobs (``--mode``/``--stream``/...);
 3. every ``repro.*`` module named in the README paper->code map
    imports, and so does every ``repro.*`` reference in
    ``docs/architecture.md`` (the simulation-layers doc);
 4. ``docs/performance.md`` names the real knob values — metering
-   modes, backends, replay modes, dynamic-session modes, execution
+   modes, replay modes, dynamic-session modes, execution
    engines and ``on_max_rounds`` modes are read from the code, not
    hard-coded here — and the dynamic and columnar layers are
    documented in both docs;
 5. ``docs/robustness.md`` names every real fault kind, the failure-
    report/snapshot surfaces, and is linked from README and the
    architecture tour;
-6. a tiny end-to-end CLI sweep runs (serial and process backend) and
-   agrees with itself.
+6. a tiny end-to-end CLI sweep runs (serial and ``--workers 2``),
+   agrees with itself, and reports that the pooled run used processes.
 
 Exit code 0 = docs are honest.
 """
@@ -129,7 +129,7 @@ def check_help_texts() -> None:
 
     import argparse
 
-    promised = ["--workers", "--backend", "--json", "--replay"]
+    promised = ["--workers", "--json", "--replay"]
     parser = _build_parser()
     sweep_parser = None
     dynamic_parser = None
@@ -315,7 +315,6 @@ def check_performance_doc() -> None:
     doc = doc_path.read_text()
     from repro.simulator.runtime import ENGINES, ON_MAX_ROUNDS, Metering
     from repro._util.memo import REPLAY_MODES
-    from repro._util.parallel import BACKENDS
     from repro.dynamic import DYNAMIC_MODES
 
     for mode in (Metering.NONE, Metering.COUNTS, Metering.BITS):
@@ -323,11 +322,6 @@ def check_performance_doc() -> None:
             fail(f"docs/performance.md does not document metering mode {mode!r}")
         else:
             ok(f"performance.md documents metering {mode!r}")
-    for backend in BACKENDS:
-        if backend not in doc:
-            fail(f"docs/performance.md does not document backend {backend!r}")
-        else:
-            ok(f"performance.md documents backend {backend!r}")
     for mode in REPLAY_MODES:
         if f'"{mode}"' not in doc and f"`{mode}`" not in doc:
             fail(f"docs/performance.md does not document replay mode {mode!r}")
@@ -477,16 +471,17 @@ def check_cli_end_to_end() -> None:
 
     base = ["sweep", "--family", "cycle", "--sizes", "8,12", "--seeds", "1", "--json"]
     code_a, out_a = run(base)
-    code_b, out_b = run(base + ["--workers", "2", "--backend", "process"])
+    code_b, out_b = run(base + ["--workers", "2"])
     if code_a != 0 or code_b != 0:
         fail("CLI sweep smoke run exited non-zero")
         return
-    runs_a = json.loads(out_a)["runs"]
-    runs_b = json.loads(out_b)["runs"]
-    if runs_a != runs_b:
-        fail("CLI sweep: process backend output differs from serial")
+    serial, pooled = json.loads(out_a), json.loads(out_b)
+    if pooled["backend"] != "process":
+        fail(f"CLI sweep --workers 2 ran on {pooled['backend']!r}, not processes")
+    elif serial["runs"] != pooled["runs"]:
+        fail("CLI sweep: --workers 2 output differs from serial")
     else:
-        ok("CLI sweep end-to-end: serial == process backend")
+        ok("CLI sweep end-to-end: serial == --workers 2 (process pool)")
 
 
 def main() -> int:
