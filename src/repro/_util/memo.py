@@ -5,8 +5,8 @@ barely change between rounds:
 
 * the Section 5 broadcast simulation
   (:class:`repro.core.broadcast_vc.BroadcastVertexCoverMachine`)
-  replays every incident element machine from full message histories —
-  histories that grow by exactly one entry per round;
+  replays every incident element machine from full message histories,
+  which grow by one entry per round and carry their size and key;
 * the self-stabilising transformer
   (:class:`repro.selfstab.transformer.SelfStabilisingMachine`)
   recomputes all T+1 pipeline levels every real round, although in a
@@ -15,10 +15,10 @@ barely change between rounds:
 
 Both consumers share the machinery here.  Everything is
 **content-addressed**: memo keys are fingerprints or hash-consed ids
-(:class:`HistoryIds`) of the full input values, so a hit is
-*semantically identical* to recomputing — caching can change
-wall-clock time, never results.  The ``replay`` knob every
-consumer exposes selects between
+(:class:`HistoryIds`, carried by each :class:`History`) of the full
+input values, so a hit is *semantically identical* to recomputing —
+caching can change wall-clock time, never results.  The ``replay``
+knob every consumer exposes selects between
 
 * ``"incremental"`` (default) — reuse content-matched work from the
   previous round; and
@@ -43,7 +43,6 @@ import itertools
 import pickle
 from typing import Any, Dict, Hashable, Optional, Tuple
 
-from repro._util.identity import IdentityMemo
 from repro.obs import CTR_MEMO_HIT, CTR_MEMO_MISS
 from repro.obs import current as _tracer
 
@@ -56,9 +55,8 @@ __all__ = [
     "FingerprintCache",
     "ReplayMemo",
     "GenerationalMemo",
+    "History",
     "HistoryIds",
-    "note_extension",
-    "extension_parent",
 ]
 
 REPLAY_INCREMENTAL = "incremental"
@@ -206,6 +204,37 @@ class GenerationalMemo:
         self._buckets.clear()
 
 
+class History(tuple):
+    """A Section 5 message history that carries its own facts.
+
+    It compares, hashes and reprs like the plain tuple of its messages.
+    It also carries ``bits`` and ``key``, what
+    :func:`repro._util.sizes.message_size_bits` and
+    :func:`repro._util.ordering.canonical_key` compute for it (element
+    keys interned), and ``hid``/``pid``, its replay id and its parent's,
+    issued by the :class:`HistoryIds` table ``ids``.  A pickle holds the
+    content alone: unpickling meters and keys it by full scan and gives
+    it no ids.  Its messages are immutable values, like every payload.
+    """
+
+    def __reduce__(self):
+        return (_scanned_history, (tuple(self),))
+
+
+def _history(messages, bits, key, hid=None, pid=None, ids=None) -> History:
+    # A function rather than History.__new__, which builds half as fast.
+    h = History(messages)
+    h.bits, h.key, h.hid, h.pid, h.ids = bits, key, hid, pid, ids
+    return h
+
+
+def _scanned_history(messages: Tuple) -> History:
+    """An id-less :class:`History` of ``messages``, metered by full scan."""
+    return _history(
+        messages, _sizes.message_size_bits(messages), _ordering.canonical_key(messages)
+    )
+
+
 class HistoryIds:
     """Hash-consed integer ids for append-only message histories.
 
@@ -232,26 +261,23 @@ class HistoryIds:
     share a table without a lock: the counter is atomic and a key's id
     is stored once (``setdefault``), so a race at most wastes an id.
 
-    Lookups by object go through a
-    :class:`repro._util.identity.IdentityMemo`, which keeps two
-    generations of ``limit`` objects (at most ``2 * limit`` pinned): a
-    producer that extends ``parent`` into ``child`` registers the child
-    with :meth:`extend`, and every later :meth:`of` on that object is
-    O(1).  An unregistered object — a pickled or restored history, one
-    rebuilt by a fault adversary, one evicted with the older
-    generation — is interned message by message, O(length) once, then
-    cached.
+    Histories built by :meth:`extend` from ``empty`` carry their ids
+    (:class:`History`), so :meth:`of` is O(1) on them.  A table trusts
+    only ids it issued: anything else — a plain tuple, another table's
+    history, one rebuilt from a pickle — is interned message by
+    message, O(length).
     """
 
-    __slots__ = ("_children", "_objects", "_counter", "limit")
+    __slots__ = ("_children", "_counter", "limit", "empty")
 
     def __init__(self, first: int = 1, limit: int = 1 << 16) -> None:
         # (parent id, message) -> child id.
         self._children: Dict[Tuple[int, Hashable], int] = {}
-        # history object -> (id, parent id).
-        self._objects = IdentityMemo(limit)
         self._counter = itertools.count(first)
         self.limit = limit
+        self.empty = _history(
+            (), _sizes.message_size_bits(()), _ordering.canonical_key(()), 0, -1, self
+        )
 
     def __reduce__(self):
         # Drawing one id bounds every id issued so far; the copy starts
@@ -270,64 +296,44 @@ class HistoryIds:
 
     def of(self, history: Tuple) -> Tuple[int, int]:
         """``(id, parent id)`` of ``history``; ``()`` gives ``(0, -1)``."""
-        entry = self._objects.get(history)
-        if entry is not None:
-            return entry
+        if type(history) is History and history.ids is self:
+            return history.hid, history.pid
         hid, pid = 0, -1
         for message in history:
             hid, pid = self._child(hid, message), hid
-        return self._objects.put(history, (hid, pid))
+        return hid, pid
 
-    def extend(self, parent: Tuple, child: Tuple) -> None:
-        """Record that ``child == parent + (child[-1],)``.
+    def extend(self, parent: Tuple, message: Hashable) -> History:
+        """``parent + (message,)`` as a :class:`History` of this table.
 
-        The same caller contract as :func:`note_extension`, checked
-        structurally: a child of the wrong length is left unregistered
-        (and interned from its contents when looked up).
+        Its id, bits and key come from ``parent``'s in O(1) (the id
+        only when this table issued ``parent``) plus the work for
+        ``message``; the bits and key are exactly what a full scan
+        computes.
         """
-        if len(child) == len(parent) + 1:
-            pid = self.of(parent)[0]
-            self._objects.put(child, (self._child(pid, child[-1]), pid))
+        pid = self.of(parent)[0]
+        n = len(parent)
+        framing = _sizes._length_framing_bits
+        bits = (
+            _sizes.message_size_bits(parent)
+            - framing(n)
+            + framing(n + 1)
+            + _sizes.message_size_bits(message)
+        )
+        rank, parts = _ordering.canonical_key(parent)
+        # One shared object per distinct element key, so comparing two
+        # histories skips their equal messages by identity.
+        element = _ordering._intern_element_key(_ordering.canonical_key(message))
+        return _history(
+            parent + (message,),
+            bits,
+            (rank, parts + (element,)),
+            self._child(pid, message),
+            pid,
+            self,
+        )
 
 
-# ----------------------------------------------------------------------
-# Tuple-extension registry (incremental history metering)
-# ----------------------------------------------------------------------
-#
-# The Section 5 history machine broadcasts a tuple that grows by one
-# element per round: ``new = old + (msg,)``.  Metering or canonically
-# keying ``new`` from scratch costs O(len) every round — O(rounds²)
-# over a run.  A producer that *knows* the extension relationship
-# registers it here; repro._util.sizes and repro._util.ordering then
-# derive the new tuple's size/key from the parent's cached one in O(1)
-# recursion (plus the new element).  The registry is advisory: a
-# missing entry just means the consumer does the full scan, and the
-# consumers re-derive exactly what the scan would produce (pinned by
-# the differential suite, where scratch-mode machines never register
-# extensions).
-
-# One entry per node per round; the limit is per generation (see
-# IdentityMemo), so on graphs of up to 4,096 nodes the parent
-# registered last round is always still there.
-_EXTENSIONS = IdentityMemo(limit=1 << 12)
-
-
-def note_extension(parent: Tuple, child: Tuple) -> Tuple:
-    """Record that ``child == parent + (child[-1],)``; returns ``child``.
-
-    Caller contract (checked structurally, not element-wise — an
-    element-wise check would cost the O(len) this exists to avoid):
-    ``child`` must extend ``parent`` by exactly one trailing element.
-    """
-    if type(parent) is tuple and type(child) is tuple:
-        if len(child) == len(parent) + 1:
-            _EXTENSIONS.put(child, parent)
-    return child
-
-
-def extension_parent(child: Tuple) -> Optional[Tuple]:
-    """The registered parent of ``child``, or ``None``."""
-    parent = _EXTENSIONS.get(child)
-    if parent is not None and len(child) == len(parent) + 1:
-        return parent
-    return None
+# sizes and ordering read a History's carried facts, so they import this
+# module; what extend derives for each new message comes from theirs.
+from repro._util import ordering as _ordering, sizes as _sizes  # noqa: E402

@@ -18,10 +18,9 @@ Keys for deeply immutable tuples are memoised via
 :class:`repro._util.identity.IdentityMemo`.  Broadcast payloads repeat
 heavily — the Section 5 history machine re-sends a growing tuple whose
 elements are the previous rounds' tuples — so a round's key costs
-O(new elements) instead of O(total history).  History tuples whose
-producer registered the one-element extension relationship
-(:func:`repro._util.memo.note_extension`) key even cheaper: the new
-key is the parent's cached key plus the new element's key, with no
+O(new elements) instead of O(total history).  Those histories carry
+their key instead (:class:`repro._util.memo.History`): the extension
+that builds one appends the new element's key to its parent's, with no
 per-element recursion at all.  Those element keys are interned (one
 object per distinct key), so sorting an inbox of histories that share
 a long prefix compares the prefix by identity, not value by value.
@@ -33,7 +32,7 @@ from fractions import Fraction
 from typing import Any, Dict, Iterable, List, Tuple
 
 from repro._util.identity import IdentityMemo
-from repro._util.memo import extension_parent
+from repro._util.memo import History
 from repro._util.rationals import ScaledInt
 
 __all__ = ["canonical_key", "canonical_sorted"]
@@ -47,12 +46,11 @@ _RANK_STR = 3
 _RANK_TUPLE = 4
 _RANK_DICT = 5
 
-# Only deeply immutable tuples are stored.  The limit is per generation and
-# sized to a round's working set: the Section 5 machine adds about 1.4
-# entries per node per round, so at n=64 a generation spans ~40 rounds.
+# Only deeply immutable tuples are stored, and never a Section 5 history,
+# which carries its own key.  The limit is per generation.
 _KEY_MEMO = IdentityMemo(limit=1 << 12)
 
-# Element keys of extension chains, interned: equal key -> one object.
+# Element keys of Section 5 histories, interned: equal key -> one object.
 _ELEMENT_KEYS: Dict[Tuple, Tuple] = {}
 _ELEMENT_KEYS_LIMIT = 1 << 16
 
@@ -91,27 +89,11 @@ def _key(value: Any) -> Tuple[Tuple, bool]:
     if isinstance(value, str):
         return (_RANK_STR, value), True
     if isinstance(value, tuple):
+        if type(value) is History:
+            return value.key, True
         cached = _KEY_MEMO.get(value)
         if cached is not None:
             return cached, True
-        parent = extension_parent(value)
-        if parent is not None:
-            # value == parent + (value[-1],): extend the parent's
-            # cached key (cached implies deeply immutable) instead of
-            # re-keying every element.  Cached-parent case only — if the
-            # parent has aged out of the memo, fall through to the full
-            # scan rather than recursing down a long extension chain.
-            parent_key = _KEY_MEMO.get(parent)
-            if parent_key is not None:
-                last_key, last_frozen = _key(value[-1])
-                if not last_frozen:
-                    return (_RANK_TUPLE, parent_key[1] + (last_key,)), False
-                # One shared object per distinct element key, so comparing
-                # two histories skips their equal messages by identity
-                # instead of comparing values.
-                key = (_RANK_TUPLE, parent_key[1] + (_intern_element_key(last_key),))
-                _KEY_MEMO.put(value, key)
-                return key, True
         parts = []
         frozen = True
         for v in value:

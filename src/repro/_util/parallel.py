@@ -41,6 +41,10 @@ raises :class:`BrokenProcessPool`.  Instead of propagating that,
    call stops paying pool start-up and degrades every remaining chunk
    to the parent process.
 
+A genuine job exception propagates at once.  The call's unstarted
+chunks are cancelled and its pool is retired first, so work the
+caller abandoned never delays the next call.
+
 Chunks are formed once, from job order, before the first dispatch —
 their identity is deterministic, so results are placed by chunk index
 and the output order (and content, for deterministic workloads) is
@@ -63,7 +67,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.obs import CTR_POOL_RESTARTS, EV_POOL_RETRY
@@ -103,6 +107,12 @@ _BACKOFF_CAP_S = 1.0
 # Each key is retired on its own: a broken pool never takes down the
 # warm pools under other keys.
 _POOLS: Dict[Tuple[str, int], ProcessPoolExecutor] = {}
+
+# Retired pools stay referenced: workers are forked and inherit the
+# parent's garbage, and a retired pool collected in a worker runs a
+# weakref callback that takes a lock a parent thread may have held at
+# the fork, deadlocking the worker.
+_RETIRED: Set[ProcessPoolExecutor] = set()
 
 
 @dataclass(frozen=True)
@@ -197,8 +207,10 @@ def _retire(
 ) -> None:
     """Shut down the pool under ``key`` so the next use starts fresh.
 
-    Idempotent.  Given ``pool`` (a broken pool a caller was using), it
-    is shut down and unregistered only while ``key`` still maps to it.
+    Idempotent.  Given ``pool`` (a pool a caller was using), it is shut
+    down and unregistered only while ``key`` still maps to it.  Callers
+    cancel their own unstarted futures (on Python 3.11,
+    ``cancel_futures=True`` can hang a pool whose jobs fail to pickle).
     """
     registered = _POOLS.get(key)
     if pool is None:
@@ -207,7 +219,8 @@ def _retire(
         return
     if registered is pool:
         del _POOLS[key]
-    pool.shutdown(wait=False, cancel_futures=True)
+    _RETIRED.add(pool)
+    pool.shutdown(wait=False)
 
 
 def shutdown_pools() -> None:
@@ -337,8 +350,15 @@ def _map_process(
                 err = exc
                 failed.append(ci)
                 continue
-            # A genuine job exception (not a dead worker) propagates:
-            # retrying deterministic code cannot fix it.
+            except BaseException:
+                # A genuine job exception (not a dead worker) propagates:
+                # retrying deterministic code cannot fix it.  The call's
+                # other chunks must not hold up the next call, so their
+                # unstarted futures are cancelled and the pool retired.
+                for other in futures.values():
+                    other.cancel()
+                _retire(("map", n_workers), pool)
+                raise
             if tr is not None:
                 value, payload = value
                 tr.absorb(payload)

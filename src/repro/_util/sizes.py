@@ -23,15 +23,13 @@ Sizes of deeply immutable tuples are memoised via
 across nodes and rounds — colour sequences, growing history tuples —
 so re-metering costs O(new elements), not O(payload).
 
-Growing history tuples get one better: a producer that extends a tuple
-by one element per round (the Section 5 history machine) registers the
-extension via :func:`repro._util.memo.note_extension`, and the size of
-the new tuple is derived from the parent's cached size plus the new
-element — O(1) per round instead of O(round), so ``Metering`` costs
-stop being quadratic in the round number.  The derivation reproduces
-exactly what the full scan computes (same framing, same element
-costs); the replay differential suite pins the bit counts against
-scratch-mode runs that never register extensions.
+Section 5 histories, which grow by one element per round, carry their
+size instead (:class:`repro._util.memo.History`): the extension that
+builds one derives it from its parent's in O(1) plus the new element,
+so ``Metering`` costs stop being quadratic in the round number.  The
+derivation reproduces exactly what the full scan computes; the replay
+differential suite pins the bit counts against scratch-mode runs,
+which rebroadcast plain tuples.
 """
 
 from __future__ import annotations
@@ -40,14 +38,13 @@ from fractions import Fraction
 from typing import Any, Tuple
 
 from repro._util.identity import IdentityMemo
-from repro._util.memo import extension_parent
+from repro._util.memo import History
 from repro._util.rationals import ScaledInt
 
 __all__ = ["message_size_bits"]
 
-# Only deeply immutable tuples are stored.  The limit is per generation and
-# sized to a round's working set: the Section 5 machine adds about 1.4
-# entries per node per round, so at n=64 a generation spans ~40 rounds.
+# Only deeply immutable tuples are stored, and never a Section 5 history,
+# which carries its own size.  The limit is per generation.
 _SIZE_MEMO = IdentityMemo(limit=1 << 12)
 
 
@@ -85,30 +82,11 @@ def _size(value: Any) -> Tuple[int, bool]:
     if isinstance(value, str):
         return 8 * len(value) + _length_framing_bits(len(value)), True
     if isinstance(value, tuple):
+        if type(value) is History:
+            return value.bits, True
         cached = _SIZE_MEMO.get(value)
         if cached is not None:
             return cached, True
-        parent = extension_parent(value)
-        if parent is not None:
-            # value == parent + (value[-1],): derive the size from the
-            # parent's cached size (a cached size implies the parent is
-            # deeply immutable).  Only the already-cached case is taken
-            # — the parent was metered last round; if it has aged out
-            # of the memo we simply fall through to the full scan,
-            # never recursing down a long extension chain.
-            parent_bits = _SIZE_MEMO.get(parent)
-            if parent_bits is not None:
-                last_bits, last_frozen = _size(value[-1])
-                bits = (
-                    parent_bits
-                    - _length_framing_bits(len(parent))
-                    + _length_framing_bits(len(value))
-                    + last_bits
-                )
-                if last_frozen:
-                    _SIZE_MEMO.put(value, bits)
-                    return bits, True
-                return bits, False
         bits = _length_framing_bits(len(value))
         frozen = True
         for v in value:

@@ -34,12 +34,12 @@ endpoint reuses the first one's replay.  The memo is keyed on
 hash-consed history ids (:class:`repro._util.memo.HistoryIds`): an id
 names one full history content, so a hit is semantically identical to
 a fresh replay, and a key hashes in O(1) instead of O(round).  Each
-new history gets its id from its parent's when it is built, and the
-growing tuples are also registered with
-:func:`repro._util.memo.note_extension`, so bit-metering and canonical
-keying of the rebroadcast histories cost O(1) per round too.  Outputs,
-rounds, messages and metered bits are bit-for-bit identical across
-modes — pinned by ``tests/test_replay_memo.py``.
+history is a :class:`repro._util.memo.History` built from its parent
+by :meth:`~repro._util.memo.HistoryIds.extend`, and carries its id,
+metered size and canonical key, so replay keys, bit-metering and
+canonical keying of the rebroadcast histories cost O(1) per round
+too.  Outputs, rounds, messages and metered bits are bit-for-bit
+identical across modes — pinned by ``tests/test_replay_memo.py``.
 
 One extra readout round is appended after ``A`` terminates so that
 every node can also report the final packing values of its incident
@@ -48,7 +48,7 @@ elements (the covers themselves are known one round earlier).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro._util.identity import IdentityMemo
@@ -57,7 +57,6 @@ from repro._util.memo import (
     REPLAY_SCRATCH,
     GenerationalMemo,
     HistoryIds,
-    note_extension,
     validate_replay,
 )
 from repro._util.ordering import canonical_sorted
@@ -81,9 +80,14 @@ class _BVCState:
     history: Tuple[Any, ...]  # messages s(v) broadcast in A-rounds 0..idx-1
     subset_state: Any  # state of s(v) after idx A-rounds
     incident: Tuple[Any, ...]  # final (y, saturated) multiset, set at readout
+    # The run's (H-globals, element context, A-round count), stamped by
+    # start; derived from the globals, so not part of equality or repr.
+    view: Any = field(default=None, compare=False, repr=False)
 
     def clone(self) -> "_BVCState":
-        return _BVCState(self.idx, self.history, self.subset_state, self.incident)
+        return _BVCState(
+            self.idx, self.history, self.subset_state, self.incident, self.view
+        )
 
 
 class BroadcastVertexCoverMachine(Machine):
@@ -116,8 +120,9 @@ class BroadcastVertexCoverMachine(Machine):
         self._memo = GenerationalMemo() if incremental else None
         self._ids = HistoryIds() if incremental else None
         # Per-run H-side views, keyed by the identity of the run's shared
-        # globals mapping: one H-globals object per run also keeps the
-        # inner machine's zero cache (keyed the same way) hitting.
+        # globals mapping and stamped on every state by start: one
+        # H-globals object per run also keeps the inner machine's zero
+        # cache (keyed the same way) hitting.
         self._h_views = IdentityMemo()
 
     def with_replay(self, replay: str) -> "BroadcastVertexCoverMachine":
@@ -142,11 +147,14 @@ class BroadcastVertexCoverMachine(Machine):
             )
         return view
 
-    def _subset_ctx(self, ctx: LocalContext) -> LocalContext:
+    @staticmethod
+    def _subset_ctx(ctx: LocalContext, g: Dict[str, int]) -> LocalContext:
+        # Built from ctx, not stamped: fault adversaries move states
+        # between nodes of different degrees.
         return LocalContext(
             degree=ctx.degree,
             input={"role": "subset", "weight": ctx.input},
-            globals=self._h_view(ctx)[0],
+            globals=g,
         )
 
     # -- lifecycle -------------------------------------------------------
@@ -155,17 +163,18 @@ class BroadcastVertexCoverMachine(Machine):
         w = ctx.input
         if not isinstance(w, int) or isinstance(w, bool) or w < 1:
             raise ValueError(f"node weight must be a positive int, got {w!r}")
-        subset_state = self._inner.start(self._subset_ctx(ctx))
-        return _BVCState(idx=0, history=(), subset_state=subset_state, incident=())
+        view = self._h_view(ctx)
+        subset_state = self._inner.start(self._subset_ctx(ctx, view[0]))
+        history = () if self._ids is None else self._ids.empty
+        return _BVCState(0, history, subset_state, (), view)
 
     def halted(self, ctx: LocalContext, state: _BVCState) -> bool:
-        return state.idx > self._h_view(ctx)[2]
+        return state.idx > state.view[2]
 
     def output(self, ctx: LocalContext, state: _BVCState) -> Dict[str, Any]:
+        sctx = self._subset_ctx(ctx, state.view[0])
         return {
-            "in_cover": self._inner.output(self._subset_ctx(ctx), state.subset_state)[
-                "in_cover"
-            ],
+            "in_cover": self._inner.output(sctx, state.subset_state)["in_cover"],
             "incident": state.incident,
             "weight": ctx.input,
         }
@@ -180,7 +189,7 @@ class BroadcastVertexCoverMachine(Machine):
     def step(
         self, ctx: LocalContext, state: _BVCState, inbox: Sequence[Any]
     ) -> _BVCState:
-        _, ectx, total = self._h_view(ctx)
+        g, ectx, total = state.view
         if state.idx > total:
             return state
         st = state.clone()
@@ -190,7 +199,7 @@ class BroadcastVertexCoverMachine(Machine):
             raise AssertionError(
                 f"expected {ctx.degree} neighbour histories, got {len(histories)}"
             )
-        sctx = self._subset_ctx(ctx)
+        sctx = self._subset_ctx(ctx, g)
 
         if t < total:
             # Replay each incident element through t A-rounds to obtain
@@ -207,14 +216,12 @@ class BroadcastVertexCoverMachine(Machine):
             st.subset_state = self._inner.step(
                 sctx, st.subset_state, tuple(canonical_sorted(element_msgs))
             )
-            new_history = st.history + (subset_msg,)
-            if self._ids is not None:
-                # Incremental mode: derive the new history's replay id,
-                # metered size and canonical key from the old one's in
-                # O(1).
-                self._ids.extend(st.history, new_history)
-                note_extension(st.history, new_history)
-            st.history = new_history
+            if self._ids is None:
+                st.history = st.history + (subset_msg,)
+            else:
+                # Incremental mode: the new history's replay id, metered
+                # size and canonical key come from the old one's in O(1).
+                st.history = self._ids.extend(st.history, subset_msg)
         else:
             # Readout round: histories are complete; extract the final
             # element outputs (the edge packing values).
@@ -230,8 +237,8 @@ class BroadcastVertexCoverMachine(Machine):
     def _replay_element(
         self,
         ectx: LocalContext,
-        own_history: Sequence[Any],
-        nbr_history: Sequence[Any],
+        own: Sequence[Any],
+        nbr: Sequence[Any],
         rounds: int,
     ) -> Any:
         """Re-simulate the element machine for ``rounds`` A-rounds.
@@ -246,10 +253,6 @@ class BroadcastVertexCoverMachine(Machine):
         steps per endpoint at G-round ``t``.  Both paths produce
         identical states (an id names the full input).
         """
-        # Slicing a tuple to its own length returns the same object, so
-        # the histories keep the identity their ids are registered by.
-        own = tuple(own_history[:rounds])
-        nbr = tuple(nbr_history[:rounds])
         memo = self._memo
         est = None
         start_tau = 0

@@ -139,7 +139,9 @@ DYNAMIC_MODES = ("incremental", "scratch")
 #: node's quiescence round, which the history records, and silent
 #: port rows are ``None``.  Version 5: Section 4 states (set-cover and
 #: Section 5 sessions) carry a reference to their compiled program.
-SNAPSHOT_VERSION = 5
+#: Version 6: Section 5 states hold :class:`repro._util.memo.History`
+#: values, pickled as their content and re-identified on restore.
+SNAPSHOT_VERSION = 6
 
 _INF = math.inf
 

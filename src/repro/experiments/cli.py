@@ -12,13 +12,14 @@ Usage::
 ``--workers N`` is forwarded to experiments whose ``run`` accepts it
 (the batched-sweep ones: section5, messages, scaling, churn) and
 executes their sweep instances on a warm N-process pool, with results
-bit-identical to the serial run; experiments without it ignore the
-flag.  ``--replay {incremental,scratch}`` is forwarded the
-same way (section5, selfstab, messages) and selects the replay
-strategy of the history-simulation / self-stabilising machines —
-results are bit-identical, only wall-clock changes.  ``--json`` emits
-every table as a machine-readable record (one JSON array over all
-experiments run) for plotting.
+bit-identical to the serial run.  ``--replay {incremental,scratch}``
+is forwarded the same way (section5, selfstab, messages) and selects
+the replay strategy of the history-simulation / self-stabilising
+machines — results are bit-identical, only wall-clock changes.  An
+experiment whose ``run`` does not take a given flag runs without it,
+and one stderr line per experiment names the flags it ignored (stdout
+is unchanged).  ``--json`` emits every table as a machine-readable
+record (one JSON array over all experiments run) for plotting.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ from repro.simulator.faults import FAULT_KINDS
 
 __all__ = ["main"]
 
+# run() parameter -> the command-line flag that sets it.
+_FLAGS = {"n_workers": "--workers", "replay": "--replay", "fault_kinds": "--fault-kinds"}
+
 
 def _run_one(
     name: str,
@@ -46,14 +50,14 @@ def _run_one(
     fault_kinds: Optional[List[str]] = None,
 ) -> List[ExperimentTable]:
     module = importlib.import_module(EXPERIMENT_MODULES[name])
-    kwargs = {}
     accepted = inspect.signature(module.run).parameters
-    if n_workers is not None and "n_workers" in accepted:
-        kwargs["n_workers"] = n_workers
-    if replay is not None and "replay" in accepted:
-        kwargs["replay"] = replay
-    if fault_kinds is not None and "fault_kinds" in accepted:
-        kwargs["fault_kinds"] = fault_kinds
+    given = {"n_workers": n_workers, "replay": replay, "fault_kinds": fault_kinds}
+    kwargs = {k: v for k, v in given.items() if v is not None and k in accepted}
+    ignored = [
+        _FLAGS[k] for k, v in given.items() if v is not None and k not in accepted
+    ]
+    if ignored:
+        print(f"{name}: ignoring {', '.join(ignored)}", file=sys.stderr)
     result = module.run(**kwargs)
     return result if isinstance(result, list) else [result]
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import signal
+import time
 
 import pytest
 
@@ -202,6 +203,22 @@ class TestFailureReportPlumbing:
         with pytest.raises(ZeroDivisionError):
             map_jobs(_reciprocal, [1, 2, 0, 4], 2)
 
+    def test_failed_call_leaves_no_work_on_the_warm_pool(self):
+        # Job 0 raises at once; the other chunks would sleep for 2 s on
+        # the pool.  The next call must not wait behind them.
+        with pytest.raises(ZeroDivisionError):
+            map_jobs(_sleep_or_raise, [0, 2, 2, 2], 2, chunksize=1)
+        started = time.monotonic()
+        assert map_jobs(_double, [1, 2], 2) == [2, 4]
+        assert time.monotonic() - started < 1.0
+
 
 def _reciprocal(x):  # module-level: picklable
     return 1 / x
+
+
+def _sleep_or_raise(seconds):  # module-level: picklable
+    if not seconds:
+        raise ZeroDivisionError("job 0 fails")
+    time.sleep(seconds)
+    return seconds

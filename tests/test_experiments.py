@@ -351,10 +351,16 @@ class TestCliBackendFlags:
     def test_backend_ignored_by_experiments_without_sweeps(self, capsys):
         from repro.experiments.cli import main
 
-        # figure2 and selfstab take no n_workers; the flag is a no-op
+        # figure2 and selfstab take no n_workers; the flag is a no-op,
+        # and each says so on stderr (stdout stays the tables alone)
         assert main(["figure2", "selfstab", "--workers", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "EXP-F2" in out and "EXP-SS" in out
+        captured = capsys.readouterr()
+        assert "EXP-F2" in captured.out and "EXP-SS" in captured.out
+        assert "ignoring" not in captured.out
+        assert captured.err.splitlines() == [
+            "figure2: ignoring --workers",
+            "selfstab: ignoring --workers",
+        ]
 
 
 class TestChurnExperiment:

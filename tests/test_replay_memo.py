@@ -35,14 +35,12 @@ from repro._util.memo import (
     REPLAY_SCRATCH,
     FingerprintCache,
     GenerationalMemo,
+    History,
     HistoryIds,
     ReplayMemo,
     content_fingerprint,
-    extension_parent,
-    note_extension,
     validate_replay,
 )
-from repro._util import memo as memo_mod
 from repro._util import ordering, sizes
 from repro._util.ordering import canonical_key
 from repro._util.sizes import message_size_bits
@@ -375,29 +373,38 @@ def test_invalid_replay_mode_rejected_at_construction():
 # ----------------------------------------------------------------------
 
 
-def test_note_extension_registry():
-    parent = (("a", 1), ("b", 2))
-    child = parent + (("c", 3),)
-    assert note_extension(parent, child) is child
-    assert extension_parent(child) is parent
-    # Wrong shapes are ignored, never trusted.
-    note_extension(parent, parent + (("d", 4), ("e", 5)))
-    assert extension_parent(parent + (("d", 4), ("e", 5))) is None
+def _chain(ids, messages):
+    """The :class:`History` chain ``ids`` builds from ``messages``."""
+    history = ids.empty
+    for message in messages:
+        history = ids.extend(history, message)
+    return history
+
+
+def test_history_extend_records_parent():
+    ids = HistoryIds()
+    parent = _chain(ids, [("a", 1), ("b", 2)])
+    child = ids.extend(parent, ("c", 3))
+    assert type(child) is History and child.ids is ids
+    # Compares, hashes and reprs like the plain tuple of its messages.
+    plain = (("a", 1), ("b", 2), ("c", 3))
+    assert child == plain and hash(child) == hash(plain)
+    assert repr(child) == repr(plain)
+    assert ids.of(child) == (child.hid, parent.hid)
+    assert ids.of(parent) == (parent.hid, parent.pid)
+    assert ids.of(ids.empty) == (0, -1)
 
 
 def test_extension_metering_matches_full_scan(monkeypatch):
-    """Sizes/keys derived through the extension chain must equal the
-    plain full scan of a content-equal, never-registered tuple.
+    """The bits and key a history carries must equal the plain full
+    scan of a content-equal tuple.
 
-    The second pass shrinks the size, key and extension memos so the
-    40-round chain spans many more than two of their generations.
-    Messages are then flat and the twin is a plain copy, so a round
-    makes two puts per memo and, the limit being odd, some generation
-    swaps fall between a parent and its child: the parent metered and
-    keyed one round ago must still be cached when the child is derived."""
+    The second pass shrinks the size and key memos so the 40-round
+    chain spans many more than two of their generations: carried facts
+    never depend on what the memos still hold."""
     _check_extension_chain(limit=None)
     limit = 5
-    for memo in (sizes._SIZE_MEMO, ordering._KEY_MEMO, memo_mod._EXTENSIONS):
+    for memo in (sizes._SIZE_MEMO, ordering._KEY_MEMO):
         monkeypatch.setattr(memo, "limit", limit)
     _check_extension_chain(limit)
     assert 40 > 2 * limit
@@ -405,44 +412,76 @@ def test_extension_metering_matches_full_scan(monkeypatch):
 
 def _check_extension_chain(limit):
     rng = random.Random(9)
-    history = ()
+    ids = HistoryIds()
+    history = ids.empty
     for i in range(40):
         if limit is None:
             msg = (f"m{i}", rng.randrange(1000), (True, None, rng.randrange(7)))
         else:
             msg = Fraction(rng.randrange(1000), rng.randrange(1, 7))
-        new = history + (msg,)
-        note_extension(history, new)
-        if limit is not None and i > 0:
-            assert sizes._SIZE_MEMO.get(history) is not None
-            assert ordering._KEY_MEMO.get(history) is not None
-        history = new
+        history = ids.extend(history, msg)
         if limit is None:
-            # A content-equal tuple built without registration: forces
-            # the full scan on fresh objects.
+            # A content-equal plain tuple of fresh objects: forces the
+            # full scan.
             twin = tuple((a, b, (c, d, e)) for (a, b, (c, d, e)) in history)
         else:
             twin = tuple(list(history))
-        assert twin == history and twin is not history
-        assert message_size_bits(history) == message_size_bits(twin)
-        assert canonical_key(history) == canonical_key(twin)
+        assert twin == history and type(twin) is tuple
+        assert history.bits == message_size_bits(history) == message_size_bits(twin)
+        assert history.key == canonical_key(history) == canonical_key(twin)
 
 
 def test_extension_chains_share_equal_element_keys():
     """Two histories grown apart from equal messages share their element
     keys, so comparing them never re-compares equal values."""
-    chains = []
-    for _ in range(2):
-        history = ()
-        canonical_key(history)
-        for i in range(6):
-            new = history + ((Fraction(i, 7), ("x", i)),)
-            note_extension(history, new)
-            canonical_key(new)
-            history = new
-        chains.append(canonical_key(history)[1])
+    chains = [
+        canonical_key(
+            _chain(HistoryIds(), [(Fraction(i, 7), ("x", i)) for i in range(6)])
+        )[1]
+        for _ in range(2)
+    ]
     assert chains[0] == chains[1]
     assert all(a is b for a, b in zip(*chains))
+
+
+def test_history_pickles_as_content():
+    """A pickle holds the content alone: two tables with different
+    counters give content-equal histories equal fingerprints, and a
+    round trip restores the bits and key but no ids."""
+    messages = [("m", i, Fraction(i, 3)) for i in range(12)]
+    a = _chain(HistoryIds(), messages)
+    b = _chain(HistoryIds(first=1 << 20), messages)
+    assert a.hid != b.hid
+    assert content_fingerprint(a) == content_fingerprint(b)
+    restored = pickle.loads(pickle.dumps(a))
+    assert type(restored) is History and restored == a
+    assert (restored.bits, restored.key) == (a.bits, a.key)
+    assert restored.ids is None
+    assert a.ids.of(restored) == a.ids.of(a)
+
+
+def test_history_ids_trust_only_their_own_histories():
+    """One table never trusts another table's ids: it interns foreign
+    histories by content, as it does plain tuples."""
+    a, b = HistoryIds(), HistoryIds(first=1 << 20)
+    h = _chain(a, [("m", i) for i in range(5)])
+    plain = tuple(h)
+    assert b.of(h) == b.of(plain) != a.of(h)
+    grown = b.extend(h, ("m", 5))
+    assert grown.ids is b and grown.pid == b.of(plain)[0]
+    assert b.of(grown) == b.of(tuple(grown))
+
+
+def test_section5_run_leaves_no_history_in_size_and_key_memos():
+    """Histories carry their bits and keys, so metering and sorting them
+    never stores one in the identity memos."""
+    machine = BroadcastVertexCoverMachine(replay="incremental")
+    _bvc_run("cycle5", machine)
+    for memo in (sizes._SIZE_MEMO, ordering._KEY_MEMO):
+        held = [obj for gen in (memo._current, memo._previous)
+                for obj, _ in gen.values()]
+        assert held
+        assert not any(type(obj) is History for obj in held)
 
 
 def test_replay_memo_bounds_and_stats():
@@ -480,11 +519,10 @@ def _random_histories(seed, count, length, alphabet=3):
 def test_history_ids_name_contents():
     ids = HistoryIds()
     assert ids.of(()) == (0, -1)
-    built = ()
+    built = ids.empty
     for i in range(30):
-        child = built + (("m", i % 4),)
-        ids.extend(built, child)
-        # A content-equal tuple never registered: interned by content.
+        child = ids.extend(built, ("m", i % 4))
+        # A content-equal plain tuple: interned by content.
         twin = tuple(list(child))
         assert twin is not child
         assert ids.of(child) == ids.of(twin)
@@ -497,15 +535,6 @@ def test_history_ids_name_contents():
     by_content = {}
     for h in _random_histories(1, 300, 12):
         assert by_content.setdefault(h, ids.of(h)) == ids.of(h)
-
-
-def test_history_ids_wrong_shape_extension_is_not_trusted():
-    ids = HistoryIds()
-    parent = (("a", 1),)
-    ids.extend((), parent)
-    bogus = parent + (("b", 2), ("c", 3))
-    ids.extend(parent, bogus)
-    assert ids.of(bogus) == ids.of(tuple(list(bogus)))
 
 
 def test_history_ids_never_reused_across_wipes():

@@ -21,8 +21,8 @@ What it enforces (CI `docs` job; run locally with
    hard-coded here — and the dynamic and columnar layers are
    documented in both docs;
 5. ``docs/robustness.md`` names every real fault kind, the failure-
-   report/snapshot surfaces, and is linked from README and the
-   architecture tour;
+   report/snapshot surfaces and the current ``SNAPSHOT_VERSION``
+   number, and is linked from README and the architecture tour;
 6. a tiny end-to-end CLI sweep runs (serial and ``--workers 2``),
    agrees with itself, and reports that the pooled run used processes.
 
@@ -392,6 +392,17 @@ def check_robustness_doc() -> None:
             ok(f"robustness.md mentions {piece}")
         else:
             fail(f"robustness.md does not mention {piece}")
+    # The stated layout version is read from the code, so it cannot drift.
+    from repro.dynamic.session import SNAPSHOT_VERSION
+
+    stated = re.findall(r"layout is `SNAPSHOT_VERSION`\s+(\d+)", doc)
+    if stated == [str(SNAPSHOT_VERSION)]:
+        ok(f"robustness.md states SNAPSHOT_VERSION {SNAPSHOT_VERSION}")
+    else:
+        fail(
+            f"robustness.md states snapshot layout version {stated}, "
+            f"code has {SNAPSHOT_VERSION}"
+        )
     # the doc is linked from README and the architecture tour
     for source, label in (
         (REPO / "README.md", "README.md"),
