@@ -54,10 +54,7 @@ def timed_runs(graph, weights, metering, repeats):
     Alternating the engines inside one loop exposes both to the same
     host conditions (frequency scaling, allocator state, neighbours on
     shared runners); separate back-to-back loops routinely skew the
-    ratio either way on busy hosts.  The cyclic collector is paused for
-    each timed region: a run allocates tens of thousands of short-lived
-    states, so gen-0/gen-2 sweeps otherwise fire mid-run at arbitrary
-    points and their pauses swamp the shorter (columnar) timings.
+    ratio either way on busy hosts.
     """
     best = {"object": float("inf"), "columnar": float("inf")}
     results = {}
@@ -66,13 +63,9 @@ def timed_runs(graph, weights, metering, repeats):
             job = edge_packing_job(graph, weights, metering=metering)
             job.pop("graph")
             machine = job.pop("machine")
-            gc_was_enabled = gc.isenabled()
-            gc.disable()
             t0 = time.perf_counter()
             res = run(graph, machine, engine=engine, **job)
             elapsed = time.perf_counter() - t0
-            if gc_was_enabled:
-                gc.enable()
             gc.collect()
             if elapsed < best[engine]:
                 best[engine], results[engine] = elapsed, res

@@ -68,17 +68,13 @@ def workload(n):
 
 
 def timed(fn, repeats):
-    """Best-of-``repeats`` wall time, cyclic GC paused per repeat."""
+    """Best-of-``repeats`` wall time, with a collection between repeats."""
     best = float("inf")
     value = None
     for _ in range(repeats):
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
         t0 = time.perf_counter()
         value = fn()
         elapsed = time.perf_counter() - t0
-        if gc_was_enabled:
-            gc.enable()
         gc.collect()
         best = min(best, elapsed)
     return best, value

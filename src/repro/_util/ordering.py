@@ -71,17 +71,29 @@ def canonical_key(value: Any) -> Tuple:
 
 def _key(value: Any) -> Tuple[Tuple, bool]:
     """``(canonical key, deeply-immutable?)`` — the flag gates memoisation."""
-    if value is None:
-        return (_RANK_NONE,), True
-    if isinstance(value, bool):
-        return (_RANK_BOOL, value), True
-    if isinstance(value, (int, Fraction)):
-        # ints and Fractions compare numerically with each other.
-        return (_RANK_NUMBER, Fraction(value)), True
-    if type(value) is ScaledInt:
+    # Exact types first.  An isinstance miss against Fraction goes
+    # through its ABC metaclass, which costs more than everything else
+    # here; subclasses take the isinstance chain below.
+    t = type(value)
+    if t is History:
+        return value.key, True
+    if t is tuple:
+        return _tuple_key(value)
+    if t is ScaledInt:
         # Keyed on the reduced value: a ScaledInt sorts exactly where
         # the Fraction it stands for would.
         return (_RANK_NUMBER, value.as_fraction()), True
+    if t is int:
+        return (_RANK_NUMBER, Fraction(value)), True
+    if value is None:
+        return (_RANK_NONE,), True
+    if t is bool:
+        return (_RANK_BOOL, value), True
+    if t is str:
+        return (_RANK_STR, value), True
+    if isinstance(value, (int, Fraction)):
+        # ints and Fractions compare numerically with each other.
+        return (_RANK_NUMBER, Fraction(value)), True
     if isinstance(value, float):
         raise TypeError(
             "floats are not permitted in messages; use fractions.Fraction"
@@ -89,21 +101,7 @@ def _key(value: Any) -> Tuple[Tuple, bool]:
     if isinstance(value, str):
         return (_RANK_STR, value), True
     if isinstance(value, tuple):
-        if type(value) is History:
-            return value.key, True
-        cached = _KEY_MEMO.get(value)
-        if cached is not None:
-            return cached, True
-        parts = []
-        frozen = True
-        for v in value:
-            k, f = _key(v)
-            parts.append(k)
-            frozen &= f
-        key = (_RANK_TUPLE, tuple(parts))
-        if frozen:
-            _KEY_MEMO.put(value, key)
-        return key, frozen
+        return _tuple_key(value)
     if isinstance(value, list):
         return (_RANK_TUPLE, tuple(canonical_key(v) for v in value)), False
     if isinstance(value, dict):
@@ -114,6 +112,22 @@ def _key(value: Any) -> Tuple[Tuple, bool]:
     raise TypeError(
         f"unsupported message value of type {type(value).__name__}: {value!r}"
     )
+
+
+def _tuple_key(value: Tuple) -> Tuple[Tuple, bool]:
+    cached = _KEY_MEMO.get(value)
+    if cached is not None:
+        return cached, True
+    parts = []
+    frozen = True
+    for v in value:
+        k, f = _key(v)
+        parts.append(k)
+        frozen &= f
+    key = (_RANK_TUPLE, tuple(parts))
+    if frozen:
+        _KEY_MEMO.put(value, key)
+    return key, frozen
 
 
 def canonical_sorted(values: Iterable[Any]) -> List[Any]:

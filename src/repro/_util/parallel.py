@@ -42,8 +42,9 @@ raises :class:`BrokenProcessPool`.  Instead of propagating that,
    to the parent process.
 
 A genuine job exception propagates at once.  The call's unstarted
-chunks are cancelled and its pool is retired first, so work the
-caller abandoned never delays the next call.
+chunks are cancelled, its pool is retired and the pool's workers are
+terminated first, so work the caller abandoned delays neither the next
+call nor interpreter exit.
 
 Chunks are formed once, from job order, before the first dispatch —
 their identity is deterministic, so results are placed by chunk index
@@ -355,9 +356,16 @@ def _map_process(
                 # retrying deterministic code cannot fix it.  The call's
                 # other chunks must not hold up the next call, so their
                 # unstarted futures are cancelled and the pool retired.
+                # Its workers are terminated too: chunks they already
+                # started would otherwise run to the end, and interpreter
+                # exit waits for them.  The process table is read first,
+                # because shutdown() drops it.
                 for other in futures.values():
                     other.cancel()
+                workers = list((pool._processes or {}).values())
                 _retire(("map", n_workers), pool)
+                for proc in workers:
+                    proc.terminate()
                 raise
             if tr is not None:
                 value, payload = value

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from math import gcd
 from typing import Iterable, Optional, Union
 
 __all__ = [
@@ -253,7 +252,7 @@ class ScaledInt:
     def _mixed_addsub(self, onum: int, oden: int, sign: int):
         """``self ± onum/oden`` with minimal denominator growth."""
         sden = self.den
-        g = gcd(sden, oden)
+        g = math.gcd(sden, oden)
         den = sden // g * oden
         num = self.num * (den // sden) + sign * onum * (den // oden)
         limit = self.limit
@@ -329,7 +328,7 @@ class ScaledInt:
             q, rem = divmod(num, other)
             if rem == 0:
                 return ScaledInt(q, self.den, self.limit)
-            g = gcd(num, other)
+            g = math.gcd(num, other)
             den = self.den * (other // g)
             num //= g
             limit = self.limit

@@ -69,6 +69,7 @@ from repro.core.cole_vishkin import (
     shift_down_root_colour,
 )
 from repro._util.identity import IdentityMemo
+from repro._util.states import copy_on_write
 from repro._util.rationals import (
     FRACTION_ONE,
     FRACTION_ZERO,
@@ -190,13 +191,15 @@ def schedule_length(delta: int, W: int) -> int:
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@copy_on_write
+@dataclass(slots=True)
 class _State:
     """Private per-node state; never mutated after a transition (purity).
 
-    Transitions are copy-on-write: every ``step`` returns a *new*
-    ``_State`` and only the containers it rewrites are fresh — the rest
-    are shared with the predecessor.  Colour sequences are tuples
+    Transitions are copy-on-write (:mod:`repro._util.states`): every
+    ``step`` returns a *new* ``_State`` — usually made by ``evolve`` —
+    and only the containers it rewrites are fresh; the rest are shared
+    with the predecessor.  Colour sequences are tuples
     precisely so sharing them is free.  The discipline that makes this
     safe: a shared container is never mutated in place; in-place
     mutation happens only on copies made by :meth:`clone` (or explicit
@@ -288,19 +291,6 @@ class _State:
             coasting=self.coasting,
         )
 
-    def evolve(self, idx: int) -> "_State":
-        """Shallow successor at schedule position ``idx``.
-
-        Shares every container with ``self``; the caller must *assign*
-        fresh containers for whatever it changes, never mutate shared
-        ones.
-        """
-        new = _State.__new__(_State)
-        d = self.__dict__.copy()
-        d["idx"] = idx
-        new.__dict__ = d
-        return new
-
     # -- helpers -------------------------------------------------------
 
     def active_ports(self) -> List[int]:
@@ -378,40 +368,37 @@ class EdgePackingMachine(Machine):
             r = Fraction(w)
             y0 = FRACTION_ZERO
             unit = FRACTION_ONE
-        # Built via __new__ + a dict literal: the 20+-parameter
-        # dataclass __init__ is measurable at n nodes per run.  Every
-        # _State field must appear here (clone() is the cross-check).
-        st = _State.__new__(_State)
-        st.__dict__ = {
-            "idx": 0,
-            "w": w,
-            "r": r,
-            "y": [y0] * d,
-            "estate": [ACTIVE] * d,
-            "own_seq": (),
-            "digit_mode": digit_mode,
-            "own_acc": 0,
-            "nbr_acc": (0,) * d,
-            "nbr_seq": ((),) * d,
-            "scale": den,
-            "radix": radix,
-            "x_cur": None,
-            "unit": unit,
-            "colour_int": None,
-            "nbr_colour": [None] * d,
-            "out_ports": [],
-            "forest_of_out": {},
-            "forest_in": [None] * d,
-            "colour_f": {},
-            "children_colour_f": {},
-            "star_replies": {},
-            "sched": sched,
-            "sched_len": sched_len,
-            "forests": (),
-            "down_ports": (),
-            "coasting": False,
-        }
-        return st
+        # Positional, in field order: matching 27 keyword arguments
+        # costs more than building the state.
+        return _State.build(
+            0,  # idx
+            w,  # w
+            r,  # r
+            [y0] * d,  # y
+            [ACTIVE] * d,  # estate
+            (),  # own_seq
+            digit_mode,  # digit_mode
+            0,  # own_acc
+            (0,) * d,  # nbr_acc
+            ((),) * d,  # nbr_seq
+            den,  # scale
+            radix,  # radix
+            None,  # x_cur
+            unit,  # unit
+            None,  # colour_int
+            [None] * d,  # nbr_colour
+            [],  # out_ports
+            {},  # forest_of_out
+            [None] * d,  # forest_in
+            {},  # colour_f
+            {},  # children_colour_f
+            {},  # star_replies
+            sched,  # sched
+            sched_len,  # sched_len
+            (),  # forests
+            (),  # down_ports
+            False,  # coasting
+        )
 
     def halted(self, ctx: LocalContext, state: _State) -> bool:
         # sched_len is stamped by start(); 0 means a hand-built state
@@ -1171,6 +1158,7 @@ class EdgePackingMachine(Machine):
         forest_in_by_d: Dict[int, List[Optional[int]]] = {}
         nbr_seq_by_d: Dict[int, Tuple] = {}
         own_seq_cache: Dict[Tuple, Tuple] = {}
+        build = _State.build
         states: List[_State] = []
         for v in range(layout.n):
             s, e = offsets[v], offsets[v + 1]
@@ -1197,39 +1185,37 @@ class EdgePackingMachine(Machine):
                 nbr_seq_by_d[d] = ((),) * d
             own_seq = tuple(col[v] for col in offer_cols)
             own_seq = own_seq_cache.setdefault(own_seq, own_seq)
-            st = _State.__new__(_State)
-            st.__dict__ = {
-                "idx": idx0,
-                "w": w_col[v],
-                "r": r_col[v],
-                "y": y_col[s:e],
-                "estate": estate_v,
-                "own_seq": own_seq,
-                "digit_mode": True,
-                "own_acc": colour_int,
-                "nbr_acc": nbr_acc_v,
-                "nbr_seq": nbr_seq_by_d[d],
-                "scale": den,
-                "radix": radix,
+            states.append(build(
+                idx0,  # idx
+                w_col[v],  # w
+                r_col[v],  # r
+                y_col[s:e],  # y
+                estate_v,  # estate
+                own_seq,  # own_seq
+                True,  # digit_mode
+                colour_int,  # own_acc
+                nbr_acc_v,  # nbr_acc
+                nbr_seq_by_d[d],  # nbr_seq
+                den,  # scale
+                radix,  # radix
                 # A standing offer is always the node's last p1b column
                 # entry, so it is already interned (offers are > 0).
-                "x_cur": interned[x_v] if x_v >= 0 else None,
-                "unit": one,
-                "colour_int": colour_int,
-                "nbr_colour": list(nbr_acc_v),
-                "out_ports": out_ports,
-                "forest_of_out": forest_of_out,
-                "forest_in": forest_in,
-                "colour_f": colour_f,
-                "children_colour_f": empty_children,
-                "star_replies": empty_replies,
-                "sched": sched,
-                "sched_len": sched_len,
-                "forests": (),
-                "down_ports": (),
-                "coasting": not has_mul[v],
-            }
-            states.append(st)
+                interned[x_v] if x_v >= 0 else None,  # x_cur
+                one,  # unit
+                colour_int,  # colour_int
+                list(nbr_acc_v),  # nbr_colour
+                out_ports,  # out_ports
+                forest_of_out,  # forest_of_out
+                forest_in,  # forest_in
+                colour_f,  # colour_f
+                empty_children,  # children_colour_f
+                empty_replies,  # star_replies
+                sched,  # sched
+                sched_len,  # sched_len
+                (),  # forests
+                (),  # down_ports
+                not has_mul[v],  # coasting
+            ))
         return states
 
 

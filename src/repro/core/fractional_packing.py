@@ -72,6 +72,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro._util.identity import IdentityMemo
 from repro._util.rationals import FRACTION_ZERO, ScaledInt, factorial
+from repro._util.states import copy_on_write
 from repro.core.colours import chi_fractional_packing, encode_p_value
 from repro.core.cole_vishkin import (
     cv_pseudo_parent,
@@ -154,28 +155,18 @@ def fp_den_limit(f: int, k: int) -> int:
 # ----------------------------------------------------------------------
 
 
-class _CopyOnWrite:
-    """Per-node states are never mutated after a transition.
-
-    Copy-on-write like :class:`repro.core.edge_packing._State`: a
-    successor made by :meth:`evolve` shares every container with its
-    predecessor, and a handler assigns a fresh dict for whatever it
-    writes.  ``prog``, the run's compiled program stamped by ``start``,
-    is derived from the globals, so it takes no part in equality or
-    repr.
-    """
-
-    def evolve(self, idx: int):
-        """Shallow successor at schedule position ``idx``."""
-        new = object.__new__(self.__class__)
-        d = self.__dict__.copy()
-        d["idx"] = idx
-        new.__dict__ = d
-        return new
+# Per-node states are never mutated after a transition.  They are
+# copy-on-write like repro.core.edge_packing._State
+# (repro._util.states): a successor made by ``evolve`` shares every
+# container with its predecessor, and a handler assigns a fresh dict for
+# whatever it writes.  ``prog``, the run's compiled program stamped by
+# ``start``, is derived from the globals, so it takes no part in
+# equality or repr.
 
 
-@dataclass
-class _SubsetState(_CopyOnWrite):
+@copy_on_write
+@dataclass(slots=True)
+class _SubsetState:
     idx: int
     w: int
     r: Any  # residual (ScaledInt or Fraction)
@@ -200,8 +191,9 @@ class _SubsetState(_CopyOnWrite):
         )
 
 
-@dataclass
-class _ElementState(_CopyOnWrite):
+@copy_on_write
+@dataclass(slots=True)
+class _ElementState:
     idx: int
     c: int = 0  # colour in {0..D}
     y: Any = FRACTION_ZERO  # packing value (ScaledInt or Fraction)

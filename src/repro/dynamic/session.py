@@ -141,7 +141,9 @@ DYNAMIC_MODES = ("incremental", "scratch")
 #: Section 5 sessions) carry a reference to their compiled program.
 #: Version 6: Section 5 states hold :class:`repro._util.memo.History`
 #: values, pickled as their content and re-identified on restore.
-SNAPSHOT_VERSION = 6
+#: Version 7: Section 3 and Section 4 states are slotted and pickle
+#: their field values by position (:mod:`repro._util.states`).
+SNAPSHOT_VERSION = 7
 
 _INF = math.inf
 
@@ -202,8 +204,8 @@ class _SessionHistory:
       metering modes).
     """
 
-    # Field order is pickle order: ``st`` goes first so the states'
-    # attribute names take the pickle memo's one-byte slots (see
+    # Field order is pickle order: ``st`` goes first so what every
+    # state repeats takes the pickle memo's one-byte slots (see
     # DynamicRun.snapshot).
     rounds: int
     st: List[List[Any]]
@@ -1095,10 +1097,13 @@ class DynamicRun:
         else:
             n, edges = self._graph.n, list(self._graph.edges)
         # Key order is pickle order.  The state-heavy entries go first:
-        # pickle memoises each attribute name of a state object once
-        # and refers back to it from every later state, with a 2-byte
-        # reference while the memo holds < 256 objects and a 5-byte one
-        # after.  Pickled after the edges, a §3 snapshot is ≈1.5× larger.
+        # pickle memoises what a state repeats once and refers back to
+        # it from every later state, with a 2-byte reference while the
+        # memo holds < 256 objects and a 5-byte one after.  For
+        # dict-based objects (§5 ``_BVCState``, ``_SessionHistory``)
+        # that is each attribute name.  The slotted §3 and §4 states
+        # pickle their field values by position, so for them it is the
+        # rebuild function, the class and the run constants they share.
         payload = {
             "version": SNAPSHOT_VERSION,
             "history": self._history,

@@ -39,6 +39,7 @@ place (see :class:`repro.simulator.faults.FaultAdversary`).
 
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import dataclass
 from functools import partial
@@ -331,6 +332,9 @@ def run(
     columns instead, so the aliasing bug cannot recur there.
     :func:`run_reference` is the allocation-per-round executable
     specification with identical observable behaviour.
+
+    The cyclic garbage collector is paused for the call and restored on
+    exit; no collection is forced (see docs/performance.md).
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -339,53 +343,65 @@ def run(
             f"on_max_rounds must be one of {ON_MAX_ROUNDS}, "
             f"got {on_max_rounds!r}"
         )
-    meter = Metering.of(metering)
-    if replay is not None:
-        machine = machine.with_replay(replay)
-    wires_cls = _WIRES.get(machine.model)
-    if wires_cls is None:
-        raise ValueError(f"unknown model {machine.model!r}")
+    # A run allocates a fresh state per live node per round but creates
+    # no reference cycles (apart from the Section 5 history tables), so
+    # the collections those allocations trigger free nothing.  A
+    # collection forced at exit would trace the caller's live results
+    # instead, so none is.  A caller that disabled the collector keeps
+    # it disabled, and nested runs change nothing.
+    collector_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        meter = Metering.of(metering)
+        if replay is not None:
+            machine = machine.with_replay(replay)
+        wires_cls = _WIRES.get(machine.model)
+        if wires_cls is None:
+            raise ValueError(f"unknown model {machine.model!r}")
 
-    tr = obs.current()
-    run_t0 = tr.now() if tr is not None else 0.0
-    engine_used = "object"
-    ctxs = _make_contexts(graph, inputs, globals_map, seed)
-    prefix = None
-    if (
-        engine == "columnar"
-        and machine.model == PORT_NUMBERING
-        and observer is None
-        and fault_adversary is None
-    ):
-        prefix = _columnar_prefix(graph, machine, ctxs, max_rounds, meter)
-        if prefix is not None:
-            engine_used = "columnar"
-    elif engine == "columnar":
-        _columnar_fallback(
-            "columnar engine needs the port-numbering model "
-            "with no observer or fault adversary"
+        tr = obs.current()
+        run_t0 = tr.now() if tr is not None else 0.0
+        engine_used = "object"
+        ctxs = _make_contexts(graph, inputs, globals_map, seed)
+        prefix = None
+        if (
+            engine == "columnar"
+            and machine.model == PORT_NUMBERING
+            and observer is None
+            and fault_adversary is None
+        ):
+            prefix = _columnar_prefix(graph, machine, ctxs, max_rounds, meter)
+            if prefix is not None:
+                engine_used = "columnar"
+        elif engine == "columnar":
+            _columnar_fallback(
+                "columnar engine needs the port-numbering model "
+                "with no observer or fault adversary"
+            )
+        if prefix is None:
+            prefix = ([machine.start(ctx) for ctx in ctxs], 0, 0, [])
+        result = _run_fast(
+            graph, machine, ctxs, wires_cls, *prefix,
+            max_rounds, observer, fault_adversary, meter,
         )
-    if prefix is None:
-        prefix = ([machine.start(ctx) for ctx in ctxs], 0, 0, [])
-    result = _run_fast(
-        graph, machine, ctxs, wires_cls, *prefix,
-        max_rounds, observer, fault_adversary, meter,
-    )
-    if tr is not None:
-        tr.event(
-            EV_ENGINE_SELECTED,
-            engine=engine_used, n=graph.n, rounds=result.rounds,
-        )
-        tr.complete(SPAN_RUN, run_t0, engine=engine_used, n=graph.n)
-    if not result.all_halted and on_max_rounds == "raise":
-        raise MaxRoundsExceeded(
-            rounds=result.rounds,
-            non_halted=[
-                v for v in graph.nodes()
-                if not machine.halted(ctxs[v], result.states[v])
-            ],
-        )
-    return result
+        if tr is not None:
+            tr.event(
+                EV_ENGINE_SELECTED,
+                engine=engine_used, n=graph.n, rounds=result.rounds,
+            )
+            tr.complete(SPAN_RUN, run_t0, engine=engine_used, n=graph.n)
+        if not result.all_halted and on_max_rounds == "raise":
+            raise MaxRoundsExceeded(
+                rounds=result.rounds,
+                non_halted=[
+                    v for v in graph.nodes()
+                    if not machine.halted(ctxs[v], result.states[v])
+                ],
+            )
+        return result
+    finally:
+        if collector_was_enabled:
+            gc.enable()
 
 
 def _columnar_prefix(

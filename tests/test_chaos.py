@@ -17,7 +17,11 @@ never shot.
 from __future__ import annotations
 
 import os
+import pathlib
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -211,6 +215,35 @@ class TestFailureReportPlumbing:
         started = time.monotonic()
         assert map_jobs(_double, [1, 2], 2) == [2, 4]
         assert time.monotonic() - started < 1.0
+
+    def test_failed_call_does_not_hold_up_interpreter_exit(self, tmp_path):
+        # Job 0 raises at once; the other three sleep for 5 s each on
+        # two workers.  The process must exit long before they would
+        # have finished, so their workers cannot outlive the call.
+        script = tmp_path / "fail_fast.py"
+        script.write_text(textwrap.dedent("""
+            import time
+            from repro._util.parallel import map_jobs
+
+            def job(seconds):
+                if not seconds:
+                    raise ZeroDivisionError("job 0 fails")
+                time.sleep(seconds)
+
+            if __name__ == "__main__":
+                try:
+                    map_jobs(job, [0, 5, 5, 5], 2, chunksize=1)
+                except ZeroDivisionError:
+                    pass
+                else:
+                    raise SystemExit("job 0 did not raise")
+        """))
+        src = pathlib.Path(parallel.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        started = time.monotonic()
+        subprocess.run([sys.executable, str(script)], env=env,
+                       check=True, timeout=120)
+        assert time.monotonic() - started < 3.0
 
 
 def _reciprocal(x):  # module-level: picklable

@@ -156,9 +156,10 @@ class TestSnapshotFormat:
         victim = _vc_session()
         payload = pickle.loads(victim.snapshot())
         assert payload["version"] == SNAPSHOT_VERSION
-        payload["version"] = SNAPSHOT_VERSION + 1
-        with pytest.raises(ValueError, match="snapshot version"):
-            DynamicRun.restore(pickle.dumps(payload))
+        for other in (SNAPSHOT_VERSION + 1, 6):
+            payload["version"] = other
+            with pytest.raises(ValueError, match="snapshot version"):
+                DynamicRun.restore(pickle.dumps(payload))
 
     def test_garbage_rejected(self):
         with pytest.raises(ValueError, match="snapshot"):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import math
 import weakref
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -208,11 +209,46 @@ class TestMessageSizeBits:
         assert message_size_bits(t + (7,)) > message_size_bits(t)
 
 
+class _IntSub(int):
+    pass
+
+
+class _FractionSub(Fraction):
+    pass
+
+
+class _StrSub(str):
+    pass
+
+
+_Pair = namedtuple("_Pair", "a b")
+
+
+class _ListSub(list):
+    pass
+
+
+class _DictSub(dict):
+    pass
+
+
+# One subclass value of each supported type (bool and None have none),
+# with the plain value it must be sized and keyed exactly like.
+SUBCLASS_SAMPLES = [
+    (_IntSub(-17), -17),
+    (_FractionSub(3, 4), Fraction(3, 4)),
+    (_StrSub("héllo"), "héllo"),
+    (_Pair(1, ("x", None)), (1, ("x", None))),
+    (_ListSub([Fraction(1, 2), (True,)]), [Fraction(1, 2), (True,)]),
+    (_DictSub({"k": 1, ("t", 2): [3]}), {"k": 1, ("t", 2): [3]}),
+]
+
+
 class TestOrderingSizesCrossCheck:
     """Every canonical_key-supported type must also be meterable, and
     the identity memo caches must never return stale answers."""
 
-    SAMPLES = [
+    SAMPLES = [v for v, _ in SUBCLASS_SAMPLES] + [
         None,
         True,
         False,
@@ -237,6 +273,18 @@ class TestOrderingSizesCrossCheck:
         for value in self.SAMPLES:
             canonical_key(value)  # must not raise
             assert message_size_bits(value) >= 1
+
+    @pytest.mark.parametrize(
+        "value, plain", SUBCLASS_SAMPLES,
+        ids=[type(v).__name__ for v, _ in SUBCLASS_SAMPLES],
+    )
+    def test_subclasses_size_and_key_like_their_base(self, value, plain):
+        assert type(value) is not type(plain)
+        assert message_size_bits(value) == message_size_bits(plain)
+        assert canonical_key(value) == canonical_key(plain)
+        # inside a (memoised) tuple too
+        assert message_size_bits((value,)) == message_size_bits((plain,))
+        assert canonical_key((value,)) == canonical_key((plain,))
 
     def test_both_reject_the_same_unsupported_types(self):
         from repro._util.ordering import canonical_key
