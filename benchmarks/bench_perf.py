@@ -27,6 +27,7 @@ from repro.core.fractional_packing import (
     FractionalPackingMachine,
     fp_schedule_length,
 )
+from repro.dynamic import DynamicRun, RandomChurn
 from repro.graphs import families
 from repro.graphs.setcover import random_instance
 from repro.graphs.weights import uniform_weights
@@ -194,3 +195,49 @@ def test_perf_message_experiment(benchmark):
 
     table = benchmark.pedantic(run, kwargs={"n": 6}, rounds=3, iterations=1)
     assert len(table.rows) == 3
+
+
+def _churn_session_blob():
+    """A recorded session on the ``churn-serve`` shape (cycle n=1000,
+    W=8), snapshotted, plus a fixed sequence of 16 two-edit
+    ``RandomChurn`` batches that applies to it."""
+    session = DynamicRun.vertex_cover(
+        families.cycle_graph(1000), uniform_weights(1000, 8, seed=1)
+    )
+    blob = session.snapshot()
+    stream = RandomChurn(edits_per_batch=2, seed=5, max_degree=2)
+    batches = []
+    while len(batches) < 16:
+        batch = stream.next_batch(session.graph, session.inputs)
+        if batch:
+            session.apply(batch)
+            batches.append(batch)
+    return blob, batches
+
+
+def test_perf_dynamic_session_open(benchmark):
+    """Opening an incremental session: one full solve on the engine's
+    loop, recording every node's rows and states as it runs."""
+    g = families.cycle_graph(1000)
+    w = uniform_weights(1000, 8, seed=1)
+    session = benchmark.pedantic(
+        DynamicRun.vertex_cover, args=(g, w), rounds=5, iterations=1
+    )
+    assert session.result.all_halted
+
+
+def test_perf_dynamic_churn_batches(benchmark):
+    """16 two-edit batches on that session: light-cone replays on the
+    engine's loop (each round restores the session untimed)."""
+    blob, batches = _churn_session_blob()
+
+    def apply_all(session):
+        for batch in batches:
+            session.apply(batch)
+        return session
+
+    session = benchmark.pedantic(
+        apply_all, setup=lambda: ((DynamicRun.restore(blob),), {}),
+        rounds=5, iterations=1,
+    )
+    assert all(s.repaired_fraction < 1.0 for s in session.stats)

@@ -48,9 +48,14 @@ perturbed message before round ``d − 1`` (information moves one hop
 per round), so its state trajectory through round ``d − 1`` — and its
 emission in round ``d − 1`` itself, a function of the round-``d − 1``
 state — are *identical* to the recording.  The session therefore keeps
-per-node state columns alongside the message history and resumes ``v``
-at round ``d − 1`` from its recorded state, with fresh emissions only
-from round ``d`` on.
+per-node state columns alongside the message history, and ``v`` joins
+the replay at round ``max(d − 1, 0)`` from its recorded state (or from
+``start``), emitting fresh rows from there — the first of which equals
+the recording.  Recording and replay both run on the fast engine's
+round loop (:func:`repro.simulator.runtime.run`): a full solve records
+a per-node tape as it goes, and a repair runs the loop over the cone
+with a join schedule, while the cone's neighbours outside it — and
+cone nodes not yet joined — send their recorded rows.
 
 **Quiescence** widens the skip.  For machines implementing the
 quiescence protocol (:meth:`~repro.simulator.machine.Machine.
@@ -58,10 +63,10 @@ quiescent` / ``fast_forward``), a quiescent node is silent and its
 ``step`` ignores the inbox until it halts, so like a halted node it
 can no longer be perturbed: a ball node that was already halted *or
 quiescent* by round ``d − 1`` keeps its recorded trajectory whatever
-its neighbours now send, and is not re-executed at all.  The recording
-ends each node's columns at its quiescence round, and the replay parks
-a cone node the round it turns quiescent, taking its final state and
-halt round from ``fast_forward`` exactly as the fast engine does.
+its neighbours now send, and is not re-executed at all.  The loop
+parks a node the round it turns quiescent, in the recording and in the
+replay alike, so each node's columns end at its quiescence round and
+``fast_forward`` gives its final state and halt round.
 Re-executed work drops from ``|ball| × R`` node-rounds to the cone —
 ``Σ_v (R − d(v))`` over the ball nodes still active when the
 wavefront reaches them, each cut off where it halts or parks — for a
@@ -86,6 +91,7 @@ from __future__ import annotations
 
 import math
 import pickle
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (
@@ -100,20 +106,19 @@ from typing import (
 )
 
 from repro import obs
-from repro._util.ordering import canonical_key
 from repro.obs import EV_DYNAMIC_BATCH, EV_ENGINE_FALLBACK, SPAN_BATCH
 from repro._util.sizes import message_size_bits
 from repro.dynamic.edits import EditError, GraphEdit, apply_edits
 from repro.dynamic.overlay import MutableTopology, OverlayBatch
 from repro.graphs.topology import PortNumberedGraph
 from repro.graphs.weights import validate_weights
-from repro.simulator.machine import PORT_NUMBERING, LocalContext, Machine
+from repro.simulator.machine import PORT_NUMBERING, Machine
 from repro.simulator.runtime import (
     Metering,
     RunResult,
-    _bad_arity,
-    _make_contexts,
     _node_context,
+    _run_cone,
+    _run_recorded,
     run,
 )
 
@@ -143,7 +148,9 @@ DYNAMIC_MODES = ("incremental", "scratch")
 #: values, pickled as their content and re-identified on restore.
 #: Version 7: Section 3 and Section 4 states are slotted and pickle
 #: their field values by position (:mod:`repro._util.states`).
-SNAPSHOT_VERSION = 7
+#: Version 8: the history drops its round count and per-round totals;
+#: the standing result's metering is the only copy.
+SNAPSHOT_VERSION = 8
 
 _INF = math.inf
 
@@ -167,64 +174,32 @@ class _SessionHistory:
     """What one run leaves behind for the next batch's warm restart.
 
     Column-major so a cone replay touches only the columns of cone
-    nodes.  Per node ``v``:
+    nodes.  ``out``, ``st``, ``halt_round`` and ``quiet_round`` are a
+    recorded :class:`~repro.simulator.runtime._Tape` (see there), with
+    ``halt_round[v] == 0`` for a node halted before round 0.  Besides:
 
-    * ``out[v][t]`` — ``v``'s emission during round ``t``: the
-      port-indexed message list (port model) or the broadcast payload;
-      ``None`` for silence (a port row with no message on any port is
-      stored as ``None`` too).  Truncated at ``v``'s halt or
-      quiescence round, whichever comes first (a halted or quiescent
-      node is silent from then on, so ``t >= len(out[v])`` reads as
-      ``None``).
-    * ``st[v][t]`` — ``v``'s state *after* round ``t + 1``, kept only
-      while ``v`` is live and not quiescent: the column ends one entry
-      before ``out[v]`` does (machine states are persistent values —
-      ``step`` returns successors without mutating its argument — so
-      these are references, not copies).  A cone replay resumes a
-      node only before it halts or turns quiescent, so the halted or
-      quiescent state itself is never read.
-    * ``halt_round[v]`` — first round index at whose *start* ``v`` is
-      halted (``0`` = halted before round 0, ``inf`` = never halted
-      within the run).
-    * ``quiet_round[v]`` — first round index at whose start ``v`` is
-      quiescent but not halted (``inf`` = never, and always for
-      machines without the quiescence protocol).
     * ``deg[v]`` — ``v``'s degree when its rows were recorded (the
       broadcast metering delta needs it; a node's rows are only ever
       reused while its degree is unchanged).
+    * ``halt_counts`` — histogram of ``halt_round`` values, kept
+      incrementally so the round count (the largest halt round
+      counted, or ``max_rounds`` if a node never halted) splices in
+      O(cone + R) instead of O(n).
 
-    Aggregates, kept incrementally so rounds/metering splice in
-    O(cone + R) instead of O(n):
-
-    * ``halt_counts`` — histogram of ``halt_round`` values; the run's
-      round count is its largest finite key (or ``max_rounds`` if any
-      node never halted).
-    * ``round_msgs[t]`` / ``round_bits[t]`` — total messages / bits
-      sent in round ``t`` (maintained only under the corresponding
-      metering modes).
+    The message and bit totals live in the standing
+    :class:`~repro.simulator.runtime.RunResult`, which every batch
+    splices in place.
     """
 
     # Field order is pickle order: ``st`` goes first so what every
     # state repeats takes the pickle memo's one-byte slots (see
     # DynamicRun.snapshot).
-    rounds: int
     st: List[List[Any]]
     out: List[List[Any]]
     halt_round: List[float]
     quiet_round: List[float]
     deg: List[int]
-    halt_counts: Dict[float, int]
-    round_msgs: List[int]
-    round_bits: List[int]
-
-
-def _port_row(row: Any) -> Any:
-    """``row``, or ``None`` when it carries no message on any port."""
-    if row is not None:
-        for msg in row:
-            if msg is not None:
-                return row
-    return None
+    halt_counts: "Counter[float]"
 
 
 def _row_cost(
@@ -256,97 +231,18 @@ def _record_run(
     metering: Any,
     seed: Optional[int],
 ) -> Tuple[RunResult, _SessionHistory]:
-    """A full :func:`run` that also records the session history.
-
-    The observer sees every round (it disables quiescence parking), so
-    the recording is exact; results are identical to an unobserved run
-    by the engine-equivalence contract.  A node's columns end when it
-    halts or turns quiescent; after that only its halt is watched.
-    """
-    ctxs = _make_contexts(graph, inputs, globals_map, seed)
-    n = graph.n
-    port_model = machine.model == PORT_NUMBERING
-    halt_round: List[float] = [_INF] * n
-    quiet_round: List[float] = [_INF] * n
-    out_cols: List[List[Any]] = [[] for _ in range(n)]
-    st_cols: List[List[Any]] = [[] for _ in range(n)]
-    halted_fn = machine.halted
-    quiescent_fn = getattr(machine, "quiescent", None)
-    # Nodes halted or quiescent at start are silent from round 0; the
-    # observer only sees rounds >= 1, so establish those exactly up
-    # front (start, halted and quiescent are pure, so this extra
-    # evaluation changes nothing).
-    recording: List[int] = []  # live and not quiescent: rows recorded
-    coasting: List[int] = []  # quiescent, not yet halted
-    for v in range(n):
-        st0 = machine.start(ctxs[v])
-        if halted_fn(ctxs[v], st0):
-            halt_round[v] = 0
-        elif quiescent_fn is not None and quiescent_fn(ctxs[v], st0):
-            quiet_round[v] = 0
-            coasting.append(v)
-        else:
-            recording.append(v)
-
-    def observer(round_index: int, states: List[Any], outboxes: List[Any]) -> None:
-        if coasting:
-            still = []
-            for v in coasting:
-                if halted_fn(ctxs[v], states[v]):
-                    halt_round[v] = round_index
-                else:
-                    still.append(v)
-            coasting[:] = still
-        still = []
-        for v in recording:
-            row = outboxes[v]
-            out_cols[v].append(_port_row(row) if port_model else row)
-            st = states[v]
-            if halted_fn(ctxs[v], st):
-                halt_round[v] = round_index
-            elif quiescent_fn is not None and quiescent_fn(ctxs[v], st):
-                quiet_round[v] = round_index
-                coasting.append(v)
-            else:
-                st_cols[v].append(st)
-                still.append(v)
-        recording[:] = still
-
-    result = run(
-        graph,
-        machine,
-        inputs=inputs,
-        globals_map=globals_map,
-        max_rounds=max_rounds,
-        seed=seed,
-        observer=observer,
-        metering=metering,
+    """A full solve on the engine's loop, recording the session history
+    as it runs (quiescence parking stays on)."""
+    result, tape = _run_recorded(
+        graph, machine, inputs, globals_map, max_rounds, seed, metering
     )
-
-    meter = Metering.of(metering)
-    R = result.rounds
-    degs = list(graph.degree_array)
-    halt_counts: Dict[float, int] = {}
-    for h in halt_round:
-        halt_counts[h] = halt_counts.get(h, 0) + 1
-    round_msgs: List[int] = []
-    if meter.counts_messages:
-        round_msgs = [0] * R
-        for v in range(n):
-            for t, row in enumerate(out_cols[v]):
-                round_msgs[t] += _row_cost(row, degs[v], port_model, False)[0]
-    # Per-round bits are exactly what the engine metered.
-    round_bits = list(result.per_round_bits) if meter.meters_bits else []
     history = _SessionHistory(
-        rounds=R,
-        out=out_cols,
-        st=st_cols,
-        halt_round=halt_round,
-        quiet_round=quiet_round,
-        deg=degs,
-        halt_counts=halt_counts,
-        round_msgs=round_msgs,
-        round_bits=round_bits,
+        st=tape.st,
+        out=tape.out,
+        halt_round=tape.halt_round,
+        quiet_round=tape.quiet_round,
+        deg=list(graph.degree_array),
+        halt_counts=Counter(tape.halt_round),
     )
     return result, history
 
@@ -383,7 +279,7 @@ def _remap_history(
     ``remove_vertex`` renumbering is order-preserving, so a surviving
     node's canonical ports — and therefore its recorded port rows —
     stay valid under its new label; columns just move.  Removed nodes'
-    recorded messages are subtracted from the per-round totals and
+    recorded messages are subtracted from the result's totals and
     their halt entries from the histogram.  Fresh vertices get empty
     columns, a provisional halt of 0 and no quiescence round — they
     are always batch seeds, so the cone replay re-derives them from
@@ -395,8 +291,7 @@ def _remap_history(
     port_model = model == PORT_NUMBERING
     out_cols = hist.out
     halt_counts = hist.halt_counts
-    round_msgs = hist.round_msgs
-    round_bits = hist.round_bits
+    round_bits = result.per_round_bits
 
     new_out: List[Optional[List[Any]]] = [None] * new_n
     new_st: List[Optional[List[Any]]] = [None] * new_n
@@ -407,20 +302,14 @@ def _remap_history(
     new_states: List[Any] = [None] * new_n
     for old, new in enumerate(node_map):
         if new is None:
-            h = hist.halt_round[old]
-            c = halt_counts[h] - 1
-            if c:
-                halt_counts[h] = c
-            else:
-                del halt_counts[h]
+            halt_counts[hist.halt_round[old]] -= 1
             if count_msgs:
                 d_rec = hist.deg[old]
                 for t, row in enumerate(out_cols[old]):
                     cnt, bits = _row_cost(row, d_rec, port_model, meter_bits)
-                    if cnt:
-                        round_msgs[t] -= cnt
-                        if meter_bits:
-                            round_bits[t] -= bits
+                    result.messages_sent -= cnt
+                    if bits:
+                        round_bits[t] -= bits
             continue
         new_out[new] = out_cols[old]
         new_st[new] = hist.st[old]
@@ -434,7 +323,7 @@ def _remap_history(
             new_out[v] = []
             new_st[v] = []
             new_halt[v] = 0
-            halt_counts[0] = halt_counts.get(0, 0) + 1
+            halt_counts[0] += 1
     hist.out = new_out
     hist.st = new_st
     hist.halt_round = new_halt
@@ -460,37 +349,27 @@ def _cone_replay(
     """The light-cone warm restart (see the module docstring).
 
     ``dist`` maps every dirty-ball node to its BFS distance from the
-    batch's touched set.  A node at distance ``d`` resumes at round
-    ``d − 1`` from its recorded state (its trajectory through round
-    ``d − 1`` is pure) and emits fresh rows from round ``d`` on.  A
-    ball node that was already halted or quiescent by round ``d − 1``
-    is skipped entirely: it is silent and ignores its inbox, so its
-    recorded trajectory stands whatever its neighbours now send.  So a
-    cone node at distance ``d`` still has at least ``d`` recorded rows
-    and ``d − 1`` recorded states, which the resume and the splice
-    read.  A cone node that turns quiescent is parked that round, as
-    in the fast engine: its recorded rows from there on are retired
-    and ``fast_forward`` gives its final state and halt round.  Clean
-    nodes never step: their recorded emissions are read straight out
-    of the history columns.  Metering is maintained as a *delta*
-    against the recorded per-round totals, and the halt histogram
-    re-derives the round count — both O(cone + R).
+    batch's touched set.  A ball node that was already halted or
+    quiescent by round ``a = max(d − 1, 0)`` is skipped entirely: it is
+    silent and ignores its inbox, so its recorded trajectory stands
+    whatever its neighbours now send.  The rest — the cone — run on
+    the engine's own round loop (:func:`~repro.simulator.runtime.
+    _run_cone`): a cone node joins at round ``a`` from its recorded
+    state (its trajectory through round ``a`` is pure), or from
+    ``start`` when ``a = 0``, and emits fresh rows from there; its
+    neighbours outside the cone, and cone nodes before their join
+    round, send their recorded rows.  The loop parks and halts cone
+    nodes exactly as a full run would.
 
-    Mutates ``hist`` and ``result`` in place (column splice) and
-    implements exactly the engine semantics of
-    :func:`repro.simulator.runtime.run` — halted nodes silent, a node
-    halting after round ``t`` still delivers its round-``t`` messages,
-    broadcast inboxes are the content-sorted neighbour payloads.  One
-    step loop serves both models; the inbox reader, called once per
-    round, is the only model-specific part.  It shares the node contexts with the engine
-    (``_node_context``) but not the engine's round loop: the engine
-    pushes each round's messages into its receivers' inboxes, while
-    the replay pulls a cone node's inbox from a mix of fresh and
-    recorded rows, and keeps its cone state in dicts.  The incremental
-    ≡ scratch differential suites are the drift alarm.
+    Splices the cone's fresh columns, states and outputs into ``hist``
+    and ``result`` in place.  Metering is a delta: each cone node's
+    recorded rows from its join round on are replaced by the fresh
+    ones the loop metered (its fresh row at ``a`` equals the recorded
+    one).  The halt histogram re-derives the round count.  All of it
+    is O(cone + rim + R).
 
     Returns ``(cone_size, node_rounds)`` — nodes re-executed and the
-    total (node, round) step count, the light cone's area.
+    steps they took, the light cone's area.
     """
     meter = Metering.of(metering)
     count_msgs = meter.counts_messages
@@ -499,231 +378,67 @@ def _cone_replay(
     out_cols = hist.out
     st_cols = hist.st
     halt_round = hist.halt_round
-    quiet_round = hist.quiet_round
     rec_deg = hist.deg
-    round_msgs = hist.round_msgs
-    round_bits = hist.round_bits
     halt_counts = hist.halt_counts
 
     # -- the cone: ball nodes still active when the wavefront arrives.
-    cone: Dict[int, int] = {}
-    by_activation: Dict[int, List[int]] = {}
-    max_act = -1
+    nodes: List[int] = []
+    joins: List[int] = []
     for v, d in dist.items():
         a = d - 1 if d else 0
-        if d and (halt_round[v] <= a or quiet_round[v] <= a):
+        if d and (halt_round[v] <= a or hist.quiet_round[v] <= a):
             continue  # deaf to the perturbation before it could reach v
-        cone[v] = d
-        by_activation.setdefault(a, []).append(v)
-        if a > max_act:
-            max_act = a
-
+        nodes.append(v)
+        joins.append(a)
     g = dict(globals_map or {})
-    ctxs: Dict[int, LocalContext] = {
-        v: _node_context(v, topo.degree(v), inputs, g, seed) for v in cone
-    }
+    ctxs = [_node_context(v, topo.degree(v), inputs, g, seed) for v in nodes]
+    states = [
+        st_cols[v][a - 1] if a else machine.start(ctx)
+        for v, a, ctx in zip(nodes, joins, ctxs)
+    ]
+    fresh, tape = _run_cone(
+        topo, machine, nodes, ctxs, states, joins, out_cols, max_rounds, meter
+    )
 
-    emit = machine.emit
-    step = machine.step
-    halted_fn = machine.halted
-    quiescent_fn = getattr(machine, "quiescent", None)
-    start = machine.start
-    output_fn = machine.output
-
-    def old_row(u: int, t: int) -> Any:
-        rows = out_cols[u]
-        return rows[t] if t < len(rows) else None
-
-    def sent_row(u: int, t: int) -> Any:
-        """``u``'s round-``t`` emission in the new run: fresh once the
-        wavefront has reached ``u``, the recording otherwise."""
-        if u in cone and cone[u] <= t:
-            return cur_rows.get(u)
-        return old_row(u, t)
-
-    def port_inboxes(live: List[int], t: int) -> List[List[Any]]:
-        inboxes = []
-        for v in live:
-            inbox = []
-            for (u, q) in topo.ports(v):
-                row = sent_row(u, t)
-                inbox.append(None if row is None else row[q])
-            inboxes.append(inbox)
-        return inboxes
-
-    def broadcast_inboxes(live: List[int], t: int) -> List[tuple]:
-        payloads: Dict[int, Any] = {}
-        keys: Dict[int, Any] = {}
-
-        def key_of(u: int) -> Any:
-            if u not in keys:
-                payloads[u] = p = sent_row(u, t)
-                keys[u] = canonical_key(p)
-            return keys[u]
-
-        # Content-sorted multisets of neighbour payloads; the stable
-        # sort over the canonical neighbour order equals the engine's
-        # sender-anonymous inbox.
-        return [
-            tuple(payloads[u] for u in sorted(topo.neighbours(v), key=key_of))
-            for v in live
-        ]
-
-    # The round's inboxes, one per live cone node, in order.
-    read_inboxes = port_inboxes if port_model else broadcast_inboxes
-
-    def bump(t: int, dm: int, db: int) -> None:
-        while len(round_msgs) <= t:
-            round_msgs.append(0)
-        round_msgs[t] += dm
-        if meter_bits:
-            while len(round_bits) <= t:
-                round_bits.append(0)
-            round_bits[t] += db
-
-    def retire_old_rows(v: int, start_t: int) -> None:
-        """The new run halts or parks ``v`` at ``start_t``; its
-        recorded emissions from that round on no longer happen."""
-        if not count_msgs:
-            return
-        rows = out_cols[v]
-        deg = rec_deg[v]
-        for t in range(start_t, len(rows)):
-            c, b = _row_cost(rows[t], deg, port_model, meter_bits)
-            if c or b:
-                bump(t, -c, -b)
-
-    fresh_out: Dict[int, List[Any]] = {}
-    fresh_st: Dict[int, List[Any]] = {}
-    new_halt: Dict[int, float] = {}
-    new_quiet: Dict[int, float] = {}
-    states: Dict[int, Any] = {}
-    for v in cone:
-        fresh_out[v] = []
-        fresh_st[v] = []
-
-    def settle(v: int, t: int) -> bool:
-        """Whether ``v``, in ``states[v]`` at the start of round ``t``,
-        stays live.  A halting node leaves the loop; so does a
-        quiescent one, parked and fast-forwarded to its final state."""
-        ctx = ctxs[v]
-        st = states[v]
-        if halted_fn(ctx, st):
-            new_halt[v] = t
-        elif quiescent_fn is not None and quiescent_fn(ctx, st):
-            new_quiet[v] = t
-            st, used = machine.fast_forward(ctx, st, max_rounds - t)
-            states[v] = st
-            if halted_fn(ctx, st):
-                new_halt[v] = t + used
-        else:
-            return True
-        retire_old_rows(v, t)
-        return False
-
-    live: List[int] = []
+    # -- per cone node: retire its recorded rows from its join round on
+    # (the loop metered their fresh replacements), move its halt entry
+    # and splice its columns, state and output.
+    round_bits = result.per_round_bits
+    messages = result.messages_sent + fresh.messages_sent
     node_rounds = 0
-    t = 0
-    cur_rows: Dict[int, Any] = {}
-    while (live or t <= max_act) and t < max_rounds:
-        # -- activations: nodes whose light cone opens this round.
-        for v in by_activation.get(t, ()):
-            d = cone[v]
-            if d == 0:
-                states[v] = start(ctxs[v])
-                if settle(v, 0):
-                    live.append(v)
-            else:
-                # Purity: v's trajectory through round d − 1 matches
-                # the recording, so resume from the recorded state
-                # (live and not quiescent here — those were pruned).
-                states[v] = st_cols[v][d - 2] if d >= 2 else start(ctxs[v])
-                live.append(v)
-
-        # -- fresh emissions: cone nodes the wavefront has reached.
-        # A node at distance t + 1 is activated (it must step this
-        # round) but its round-t emission still matches the recording.
-        cur_rows.clear()
-        for v in live:
-            if cone[v] > t:
-                continue
-            out = emit(ctxs[v], states[v])
-            if port_model and out is not None:
-                deg = ctxs[v].degree
-                if type(out) is not list and type(out) is not tuple:
-                    out = list(out)
-                if len(out) != deg:
-                    raise _bad_arity(deg, len(out))
-                out = _port_row(out)
-            cur_rows[v] = out
-            fresh_out[v].append(out)
-            if count_msgs:
-                oc, ob = _row_cost(old_row(v, t), rec_deg[v], port_model, meter_bits)
-                nc, nb = _row_cost(out, ctxs[v].degree, port_model, meter_bits)
-                if nc != oc or nb != ob:
-                    bump(t, nc - oc, nb - ob)
-
-        # -- deliver and step the live cone.
-        node_rounds += len(live)
-        next_live: List[int] = []
-        for v, inbox in zip(live, read_inboxes(live, t)):
-            st = step(ctxs[v], states[v], inbox)
-            states[v] = st
-            if settle(v, t + 1):
-                fresh_st[v].append(st)
-                next_live.append(v)
-        live = next_live
-        t += 1
-
-    # -- halt histogram: move every cone node old -> new.
-    for v in cone:
-        old_h = halt_round[v]
-        c = halt_counts[old_h] - 1
-        if c:
-            halt_counts[old_h] = c
-        else:
-            del halt_counts[old_h]
-        h = new_halt.get(v, _INF)
-        halt_counts[h] = halt_counts.get(h, 0) + 1
-        halt_round[v] = h
-        quiet_round[v] = new_quiet.get(v, _INF)
+    for i, v in enumerate(nodes):
+        a = joins[i]
+        rows = out_cols[v]
+        if count_msgs:
+            for t in range(a, len(rows)):
+                c, b = _row_cost(rows[t], rec_deg[v], port_model, meter_bits)
+                messages -= c
+                if b:
+                    round_bits[t] -= b
+        out_cols[v] = rows[:a] + tape.out[i]
+        st_cols[v] = st_cols[v][:a] + tape.st[i]
+        rec_deg[v] = ctxs[i].degree
+        halt_counts[halt_round[v]] -= 1
+        h = halt_round[v] = tape.halt_round[i]
+        halt_counts[h] += 1
+        hist.quiet_round[v] = tape.quiet_round[i]
+        result.states[v] = fresh.states[i]
+        result.outputs[v] = fresh.outputs[i]
+        node_rounds += len(tape.out[i])
+    result.messages_sent = messages
 
     # -- round count: largest halt round, or the cap if any node ran
     # into it (exactly the engine's loop condition).
-    if _INF in halt_counts:
-        rounds_new = max_rounds
-        all_halted = False
-    else:
-        rounds_new = int(max(halt_counts)) if halt_counts else 0
-        all_halted = True
-    while len(round_msgs) < rounds_new:
-        round_msgs.append(0)
-    del round_msgs[rounds_new:]
+    halts = [h for h, c in halt_counts.items() if c]
+    result.all_halted = _INF not in halts
+    result.rounds = int(max(halts, default=0)) if result.all_halted else max_rounds
     if meter_bits:
-        while len(round_bits) < rounds_new:
-            round_bits.append(0)
-        del round_bits[rounds_new:]
-
-    # -- splice the repaired columns and scalars in place.
-    outputs = result.outputs
-    final_states = result.states
-    for v, d in cone.items():
-        st = states[v]
-        final_states[v] = st
-        outputs[v] = output_fn(ctxs[v], st)
-        keep = d - 1 if d else 0
-        out_cols[v] = out_cols[v][:d] + fresh_out[v]
-        st_cols[v] = st_cols[v][:keep] + fresh_st[v]
-        rec_deg[v] = ctxs[v].degree
-    hist.rounds = rounds_new
-    result.rounds = rounds_new
-    result.all_halted = all_halted
-    if count_msgs:
-        result.messages_sent = sum(round_msgs)
-    if meter_bits:
+        del round_bits[result.rounds:]
+        round_bits.extend([0] * (result.rounds - len(round_bits)))
+        for t, b in enumerate(fresh.per_round_bits[:result.rounds]):
+            round_bits[t] += b
         result.message_bits = sum(round_bits)
-        result.per_round_bits = list(round_bits)
-    return len(cone), node_rounds
+    return len(nodes), node_rounds
 
 
 # ----------------------------------------------------------------------

@@ -40,6 +40,7 @@ place (see :class:`repro.simulator.faults.FaultAdversary`).
 from __future__ import annotations
 
 import gc
+import math
 import random
 from dataclasses import dataclass
 from functools import partial
@@ -335,7 +336,35 @@ def run(
 
     The cyclic garbage collector is paused for the call and restored on
     exit; no collection is forced (see docs/performance.md).
+
+    Dynamic sessions (:mod:`repro.dynamic.session`) run this same loop
+    twice over: a recorded solve is this call with a :class:`_Tape`
+    (:func:`_run_recorded`), and a light-cone repair replays the cone
+    on the loop with a join schedule (:func:`_run_cone`).
     """
+    return _run(
+        graph, machine, inputs, globals_map, max_rounds, seed, observer,
+        fault_adversary, metering, replay, engine, on_max_rounds, None,
+    )
+
+
+def _run(
+    graph: PortNumberedGraph,
+    machine: Machine,
+    inputs: Optional[Sequence[Any]],
+    globals_map: Optional[Mapping[str, Any]],
+    max_rounds: int,
+    seed: Optional[int],
+    observer: Optional[Observer],
+    fault_adversary: Optional[Any],
+    metering: Union[Metering, str, None],
+    replay: Optional[str],
+    engine: str,
+    on_max_rounds: str,
+    tape: Optional["_Tape"],
+) -> RunResult:
+    """:func:`run`'s body; a ``tape`` records the run (object engine
+    only, no observer or adversary)."""
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     if on_max_rounds not in ON_MAX_ROUNDS:
@@ -382,7 +411,7 @@ def run(
             prefix = ([machine.start(ctx) for ctx in ctxs], 0, 0, [])
         result = _run_fast(
             graph, machine, ctxs, wires_cls, *prefix,
-            max_rounds, observer, fault_adversary, meter,
+            max_rounds, observer, fault_adversary, meter, tape,
         )
         if tr is not None:
             tr.event(
@@ -495,15 +524,58 @@ def _columnar_fallback(reason: str) -> None:
         tr.event(EV_ENGINE_FALLBACK, wanted="columnar", reason=reason)
 
 
+class _Tape:
+    """What a recorded run leaves behind per node, for a dynamic
+    session's light-cone replay (:mod:`repro.dynamic.session`).
+    :func:`_run_fast` fills it where it already decides:
+
+    * ``out[v][t]`` — ``v``'s emission during round ``t``: the
+      port-indexed message list (port model) or the broadcast payload;
+      ``None`` for silence (a port row with no message on any port is
+      stored as ``None`` too).  It ends at ``v``'s halt or quiescence
+      round, whichever comes first (a halted or quiescent node is
+      silent from then on, so ``t >= len(out[v])`` reads as ``None``).
+    * ``st[v][t]`` — ``v``'s state after round ``t``, kept only while
+      ``v`` stays live and not quiescent: the column ends one entry
+      before ``out[v]`` does (machine states are persistent values —
+      ``step`` returns successors without mutating its argument — so
+      these are references, not copies).  A replay resumes a node
+      only before it halts or turns quiescent, so the halted or
+      quiescent state itself is never read.
+    * ``halt_round[v]`` — first round at whose *start* ``v`` is halted
+      (``inf`` = never within the run).
+    * ``quiet_round[v]`` — first round at whose start ``v`` is
+      quiescent but not halted (``inf`` = never, and always for
+      machines without the quiescence protocol).
+    """
+
+    __slots__ = ("out", "st", "halt_round", "quiet_round")
+
+    def __init__(self, n: int) -> None:
+        self.out: List[List[Any]] = [[] for _ in range(n)]
+        self.st: List[List[Any]] = [[] for _ in range(n)]
+        self.halt_round: List[float] = [math.inf] * n
+        self.quiet_round: List[float] = [math.inf] * n
+
+
+def _port_row(row: Any) -> Any:
+    """``row``, or ``None`` when it carries no message on any port."""
+    if row is not None:
+        for msg in row:
+            if msg is not None:
+                return row
+    return None
+
+
 class _Wires:
-    """What the two delivery strategies share.  ``silent[v] == 1`` means
+    """What the delivery strategies share.  ``silent[v] == 1`` means
     ``v`` puts nothing on any link (halted, parked and crashed nodes
     included)."""
 
-    def __init__(self, graph: PortNumberedGraph, machine: Machine,
-                 ctxs: List[LocalContext], meter: Metering) -> None:
-        self.silent = bytearray([1]) * graph.n
-        self.degrees = graph.degree_array
+    def __init__(self, machine: Machine, ctxs: List[LocalContext],
+                 meter: Metering, degrees: Sequence[int]) -> None:
+        self.silent = bytearray([1]) * len(degrees)
+        self.degrees = degrees
         self.emit = machine.emit
         self.ctxs = ctxs
         self.meter = meter
@@ -532,7 +604,7 @@ class _PortWires(_Wires):
 
     def __init__(self, graph: PortNumberedGraph, machine: Machine,
                  ctxs: List[LocalContext], meter: Metering) -> None:
-        super().__init__(graph, machine, ctxs, meter)
+        super().__init__(machine, ctxs, meter, graph.degree_array)
         offsets, flat_targets, flat_rev = graph.csr()
         inboxes = [[None] * d for d in self.degrees]
         self.inboxes: List[List[Any]] = inboxes
@@ -550,8 +622,10 @@ class _PortWires(_Wires):
         self.silent[v] = 1
 
     def send(self, live: List[int], paused: frozenset, states: List[Any],
-             outboxes: Optional[List[Any]]) -> Tuple[int, int]:
-        """Emit, deliver and meter one round; returns ``(messages, bits)``."""
+             outboxes: Optional[List[Any]],
+             rows: Optional[List[List[Any]]]) -> Tuple[int, int]:
+        """Emit, deliver and meter one round; returns ``(messages, bits)``.
+        ``rows`` (a tape's ``out``) gets each live node's row."""
         emit = self.emit
         ctxs = self.ctxs
         scatter = self.scatter
@@ -570,6 +644,8 @@ class _PortWires(_Wires):
                     # live node's silence shows as an all-None row;
                     # only halted/crashed nodes show as None.
                     outboxes[v] = [None] * degrees[v]
+                if rows is not None:
+                    rows[v].append(None)
                 if not silent[v]:
                     self.silence(v)
                 continue
@@ -581,6 +657,8 @@ class _PortWires(_Wires):
                 raise _bad_arity(d, len(out))
             if outboxes is not None:
                 outboxes[v] = out
+            if rows is not None:
+                rows[v].append(_port_row(out))
             for (dst, q), m in zip(scatter[v], out):
                 dst[q] = m
             if count_msgs:
@@ -624,7 +702,7 @@ class _BroadcastWires(_Wires):
 
     def __init__(self, graph: PortNumberedGraph, machine: Machine,
                  ctxs: List[LocalContext], meter: Metering) -> None:
-        super().__init__(graph, machine, ctxs, meter)
+        super().__init__(machine, ctxs, meter, graph.degree_array)
         n = graph.n
         self.nbrs = [graph.neighbours(v) for v in range(n)]
         self.payloads: List[Any] = [None] * n
@@ -637,8 +715,10 @@ class _BroadcastWires(_Wires):
         self.silent[v] = 1
 
     def send(self, live: List[int], paused: frozenset, states: List[Any],
-             outboxes: Optional[List[Any]]) -> Tuple[int, int]:
-        """Emit, deliver and meter one round; returns ``(messages, bits)``."""
+             outboxes: Optional[List[Any]],
+             rows: Optional[List[List[Any]]]) -> Tuple[int, int]:
+        """Emit, deliver and meter one round; returns ``(messages, bits)``.
+        ``rows`` (a tape's ``out``) gets each live node's payload."""
         emit = self.emit
         ctxs = self.ctxs
         payloads = self.payloads
@@ -655,6 +735,8 @@ class _BroadcastWires(_Wires):
             payloads[v] = p
             keys[v] = canonical_key(p)
             silent[v] = p is None
+            if rows is not None:
+                rows[v].append(p)
             if p is not None and count_msgs:
                 # One broadcast payload, delivered along every link.
                 d = degrees[v]
@@ -692,7 +774,118 @@ class _BroadcastWires(_Wires):
         return self.meter_links(links)
 
 
+class _TapeSenders:
+    """The recorded half of a light cone's delivery (:func:`_run_cone`).
+
+    A *tape sender* puts its recorded row on the wire: a rim node (a
+    neighbour of the cone outside it) in every round, a cone node
+    before its join round.  ``targets`` maps each sender to where its
+    row goes.  A sender is kept as ``(stop, rows, target)``: from round
+    ``stop`` on it writes nothing more (it joined, or its rows ran out
+    and one silent round has cleared its links).  Sorted so the next
+    to stop is last.
+    """
+
+    def __init__(self, nodes: Sequence[int], joins: Sequence[int],
+                 recorded: Sequence[List[Any]],
+                 targets: Mapping[int, Any]) -> None:
+        until = dict(zip(nodes, joins))
+        senders = []
+        for u, target in targets.items():
+            a = until.get(u, math.inf)
+            rows = recorded[u]
+            if a and rows:
+                senders.append((min(a, len(rows) + 1), rows, target))
+        senders.sort(key=lambda s: s[0], reverse=True)
+        self.senders = senders
+        self.round = 0  # a cone replay starts at round 0
+
+    def due(self) -> List[Tuple[Any, Any]]:
+        """This round's ``(recorded row, target)`` pairs; advances the
+        round."""
+        t = self.round
+        self.round = t + 1
+        senders = self.senders
+        while senders and senders[-1][0] <= t:
+            senders.pop()
+        return [
+            (rows[t] if t < len(rows) else None, target)
+            for _, rows, target in senders
+        ]
+
+
+class _ConePortWires(_PortWires):
+    """Port delivery inside a light cone, indexed by the cone's local
+    ids: the cone's inboxes, fed by fresh rows from joined cone nodes
+    and by the tape senders' recorded rows.  The rim never reads, so a
+    fresh row's entries for it go to a sink."""
+
+    def __init__(self, topo: Any, machine: Machine, ctxs: List[LocalContext],
+                 meter: Metering, nodes: Sequence[int], joins: Sequence[int],
+                 recorded: Sequence[List[Any]]) -> None:
+        _Wires.__init__(self, machine, ctxs, meter, [c.degree for c in ctxs])
+        inboxes = self.inboxes = [[None] * d for d in self.degrees]
+        # feeds[u]: (inbox, slot, port) for each of u's ports into the cone.
+        feeds: Dict[int, List[Tuple[List[Any], int, int]]] = {}
+        for i, v in enumerate(nodes):
+            for q, (u, p) in enumerate(topo.ports(v)):
+                feeds.setdefault(u, []).append((inboxes[i], q, p))
+        sink = ([None], 0)
+        self.scatter = [[sink] * d for d in self.degrees]
+        for i, v in enumerate(nodes):
+            for dst, q, p in feeds.get(v, ()):
+                self.scatter[i][p] = (dst, q)
+        self.tape = _TapeSenders(nodes, joins, recorded, feeds)
+        # Cone nodes start non-silent: one waiting to join holds last
+        # round's recorded row in its slots, which its first fresh
+        # silence must clear.
+        self.silent = bytearray(len(nodes))
+
+    def send(self, live: List[int], paused: frozenset, states: List[Any],
+             outboxes: Optional[List[Any]],
+             rows: Optional[List[List[Any]]]) -> Tuple[int, int]:
+        for row, feed in self.tape.due():
+            if row is None:
+                for dst, q, _ in feed:
+                    dst[q] = None
+            else:
+                for dst, q, p in feed:
+                    dst[q] = row[p]
+        return super().send(live, paused, states, outboxes, rows)
+
+
+class _ConeBroadcastWires(_BroadcastWires):
+    """Broadcast delivery inside a light cone: payload slots for the
+    cone's nodes (local ids ``0..k-1``) and its rim (``k`` on), the
+    tape senders' filled from the recording."""
+
+    def __init__(self, topo: Any, machine: Machine, ctxs: List[LocalContext],
+                 meter: Metering, nodes: Sequence[int], joins: Sequence[int],
+                 recorded: Sequence[List[Any]]) -> None:
+        _Wires.__init__(self, machine, ctxs, meter, [c.degree for c in ctxs])
+        local = {v: i for i, v in enumerate(nodes)}
+        self.nbrs = [
+            [local.setdefault(u, len(local)) for u in topo.neighbours(v)]
+            for v in nodes
+        ]
+        self.tape = _TapeSenders(nodes, joins, recorded, local)
+        self.payloads = [None] * len(local)
+        self.keys = [_NONE_KEY] * len(local)
+        self.inboxes = [None] * len(nodes)
+
+    def send(self, live: List[int], paused: frozenset, states: List[Any],
+             outboxes: Optional[List[Any]],
+             rows: Optional[List[List[Any]]]) -> Tuple[int, int]:
+        payloads = self.payloads
+        keys = self.keys
+        for p, x in self.tape.due():
+            payloads[x] = p
+            keys[x] = canonical_key(p)
+        return super().send(live, paused, states, outboxes, rows)
+
+
 _WIRES = {PORT_NUMBERING: _PortWires, BROADCAST: _BroadcastWires}
+_CONE_WIRES = {PORT_NUMBERING: _ConePortWires, BROADCAST: _ConeBroadcastWires}
 
 
 def _apply_faults(
@@ -743,10 +936,10 @@ def _apply_faults(
 
 
 def _run_fast(
-    graph: PortNumberedGraph,
+    graph: Any,
     machine: Machine,
     ctxs: List[LocalContext],
-    wires_cls: type,
+    wires_cls: Callable[..., Any],
     states: List[Any],
     rounds: int,
     messages_sent: int,
@@ -755,113 +948,147 @@ def _run_fast(
     observer: Optional[Observer],
     adversary: Optional[Any],
     meter: Metering,
+    tape: Optional[_Tape] = None,
+    joins: Optional[Sequence[int]] = None,
 ) -> RunResult:
-    """The fast round loop, in either model, from ``states`` after
-    ``rounds`` rounds (0, or the columnar prefix's count) that sent
-    ``messages_sent`` messages with ``per_round_bits``.
+    """The fast round loop, in either model, over the nodes of
+    ``ctxs``, from ``states`` after ``rounds`` rounds (0, or the
+    columnar prefix's count) that sent ``messages_sent`` messages with
+    ``per_round_bits``.
 
     ``wires_cls`` is the model's delivery strategy; everything else —
     fault hooks, stepping, halting and silencing, quiescence parking,
     metering totals, the observer, round spans and the fast-forward
     epilogue — is shared.
+
+    A ``tape`` is filled where the loop already decides: ``send``
+    appends each live node's row, a step that leaves its node live
+    appends the new state, and the join, halt and park branches and
+    the fast-forward epilogue set the halt and quiescence rounds.
+
+    ``joins`` is a join schedule (default: every node at ``rounds``):
+    node ``v`` enters the loop at the start of round ``joins[v]``, from
+    ``states[v]``, as halted, parked or live.  Until then it is none of
+    these — a light cone's delivery strategy puts its recorded rows on
+    the wire — and the loop runs while any node is live or still due to
+    join.
     """
-    n = graph.n
+    n = len(ctxs)
     step = machine.step
     halted_fn = machine.halted
     meter_bits = meter.meters_bits
+    rows = tape.out if tape is not None else None
 
     # Quiescence fast path (see Machine.quiescent): park nodes whose
     # remaining execution is provably silent and inbox-independent, and
     # fast-forward their states once the active loop drains.  Disabled
     # under observers and fault adversaries, which need (or may
-    # corrupt) true per-round states.  Every node is halted, parked or
-    # live, so the loop runs while some node is live.
+    # corrupt) true per-round states.
     quiescent_fn = getattr(machine, "quiescent", None)
     parking = quiescent_fn is not None and observer is None and adversary is None
     parked: List[Tuple[int, int]] = []  # (node, round it was parked after)
-    halted = [halted_fn(ctxs[v], states[v]) for v in range(n)]
+    halted = [False] * n
     live: List[int] = []
-    for v in range(n):
-        if halted[v]:
-            continue
-        if parking and quiescent_fn(ctxs[v], states[v]):
-            # Already quiescent (resumed runs — notably the columnar
-            # prefix's handoff states): the contract says it emits None
-            # and ignores its inbox from here to halting, so it never
-            # needs a real round.
-            parked.append((v, rounds))
-        else:
-            live.append(v)
+    due: Dict[int, Iterable[int]] = {rounds: range(n)}
+    if joins is not None:
+        due = {}
+        for v, a in enumerate(joins):
+            due.setdefault(a, []).append(v)
 
     tampers = getattr(adversary, "tampers", None)
     tr = obs.current()
-    # The delivery buffers are built only when the loop actually runs —
-    # a start with every node halted or parked (the columnar handoff on
-    # fully quiescent instances) skips the allocation entirely.
-    if live and rounds < max_rounds:
-        wires = wires_cls(graph, machine, ctxs, meter)
-        inboxes = wires.inboxes
-        silent = wires.silent
-        paused: frozenset = _EMPTY_SET
-        while live and rounds < max_rounds:
-            rt0 = tr.now() if tr is not None else 0.0
-            if adversary is not None:
-                states, paused, flipped = _apply_faults(
-                    rounds, graph, machine, ctxs, states, halted,
-                    adversary, wires.silence,
-                )
-                if flipped:
-                    live = [v for v in range(n) if not halted[v]]
-            outboxes: Optional[List[Any]] = [None] * n if observer is not None else None
-            sent, bits = wires.send(live, paused, states, outboxes)
-            tampered = tampers is not None and tampers(rounds)
-            if tampered:
-                # Chaos round: the adversary sees every directed link;
-                # delivery and metering follow the tampered values (the
-                # wire's view is what is billed).
-                sent, bits = wires.redeliver(
-                    adversary.tamper(rounds, graph, wires.links()),
-                    live, paused,
-                )
-            messages_sent += sent
-            if meter_bits:
-                per_round_bits.append(bits)
+    wires = None
+    paused: frozenset = _EMPTY_SET
+    while True:
+        joining = due.pop(rounds, ())
+        for v in joining:
+            if halted_fn(ctxs[v], states[v]):
+                halted[v] = True
+                if tape is not None:
+                    tape.halt_round[v] = rounds
+            elif parking and quiescent_fn(ctxs[v], states[v]):
+                # Already quiescent (notably the columnar prefix's
+                # handoff states): the contract says it emits None and
+                # ignores its inbox from here to halting, so it never
+                # needs a real round.
+                parked.append((v, rounds))
+                if tape is not None:
+                    tape.quiet_round[v] = rounds
+            else:
+                live.append(v)
+        if not (live or due) or rounds >= max_rounds:
+            break
+        if wires is None:
+            # Built only when the loop actually runs: a start with every
+            # node halted or parked (the columnar handoff on fully
+            # quiescent instances) skips the allocation entirely.
+            wires = wires_cls(graph, machine, ctxs, meter)
+            inboxes = wires.inboxes
+            silent = wires.silent
+        rt0 = tr.now() if tr is not None else 0.0
+        if adversary is not None:
+            states, paused, flipped = _apply_faults(
+                rounds, graph, machine, ctxs, states, halted,
+                adversary, wires.silence,
+            )
+            if flipped:
+                live = [v for v in range(n) if not halted[v]]
+        outboxes: Optional[List[Any]] = [None] * n if observer is not None else None
+        sent, bits = wires.send(live, paused, states, outboxes, rows)
+        tampered = tampers is not None and tampers(rounds)
+        if tampered:
+            # Chaos round: the adversary sees every directed link;
+            # delivery and metering follow the tampered values (the
+            # wire's view is what is billed).
+            sent, bits = wires.redeliver(
+                adversary.tamper(rounds, graph, wires.links()),
+                live, paused,
+            )
+        messages_sent += sent
+        if meter_bits:
+            per_round_bits.append(bits)
 
-            next_live: List[int] = []
-            settled: List[int] = []
-            for v in live:
-                if v in paused:
-                    # Frozen: no step, the round's inbox is discarded.
-                    next_live.append(v)
-                    continue
-                st = step(ctxs[v], states[v], inboxes[v])
-                states[v] = st
-                if halted_fn(ctxs[v], st):
-                    halted[v] = True
-                    settled.append(v)
-                elif parking and silent[v] and quiescent_fn(ctxs[v], st):
-                    # Only silent nodes can be quiescent (quiescence
-                    # implies emitting None), so talkers skip the check.
-                    parked.append((v, rounds + 1))
-                    settled.append(v)
-                else:
-                    next_live.append(v)
-            # Silence newly halted/parked nodes only after every step has
-            # read its inbox — their final-round messages were deliverable.
+        next_live: List[int] = []
+        settled: List[int] = []
+        for v in live:
+            if v in paused:
+                # Frozen: no step, the round's inbox is discarded.
+                next_live.append(v)
+                continue
+            st = step(ctxs[v], states[v], inboxes[v])
+            states[v] = st
+            if halted_fn(ctxs[v], st):
+                halted[v] = True
+                settled.append(v)
+            elif parking and quiescent_fn(ctxs[v], st):
+                parked.append((v, rounds + 1))
+                settled.append(v)
+            else:
+                next_live.append(v)
+        # Silence newly halted/parked nodes only after every step has
+        # read its inbox — their final-round messages were deliverable.
+        for v in settled:
+            wires.silence(v)
+        if tape is not None:
             for v in settled:
-                wires.silence(v)
-            if tampered:
-                # Tampering can put a message on a halted sender's link
-                # (a duplicated one, say); it is delivered this round only.
-                for v in range(n):
-                    if halted[v] and not silent[v]:
-                        wires.silence(v)
-            live = next_live
-            rounds += 1
-            if tr is not None:
-                tr.complete(SPAN_ROUND, rt0, round=rounds - 1)
-            if observer is not None:
-                observer(rounds, states, outboxes)
+                if halted[v]:
+                    tape.halt_round[v] = rounds + 1
+                else:
+                    tape.quiet_round[v] = rounds + 1
+            for v in next_live:
+                tape.st[v].append(states[v])
+        if tampered:
+            # Tampering can put a message on a halted sender's link
+            # (a duplicated one, say); it is delivered this round only.
+            for v in range(n):
+                if halted[v] and not silent[v]:
+                    wires.silence(v)
+        live = next_live
+        rounds += 1
+        if tr is not None:
+            tr.complete(SPAN_ROUND, rt0, round=rounds - 1)
+        if observer is not None:
+            observer(rounds, states, outboxes)
 
     # Fast-forward parked nodes to where the plain loop would have left
     # them.  A parked node is silent and ignores its inbox, so only its
@@ -873,6 +1100,8 @@ def _run_fast(
         states[v] = st
         if not halted_fn(ctxs[v], st):
             all_halted = False
+        elif tape is not None:
+            tape.halt_round[v] = parked_at + used
         if parked_at + used > rounds:
             rounds = parked_at + used
     if meter_bits and len(per_round_bits) < rounds:
@@ -888,6 +1117,60 @@ def _run_fast(
         per_round_bits=per_round_bits,
         states=states,
     )
+
+
+def _run_recorded(
+    graph: PortNumberedGraph,
+    machine: Machine,
+    inputs: Optional[Sequence[Any]],
+    globals_map: Optional[Mapping[str, Any]],
+    max_rounds: int,
+    seed: Optional[int],
+    metering: Union[Metering, str, None],
+) -> Tuple[RunResult, _Tape]:
+    """:func:`run` on the object engine, with parking on, recording a
+    :class:`_Tape` of every node as it goes."""
+    tape = _Tape(graph.n)
+    result = _run(
+        graph, machine, inputs, globals_map, max_rounds, seed, None, None,
+        metering, None, "object", "return", tape,
+    )
+    return result, tape
+
+
+def _run_cone(
+    topo: Any,
+    machine: Machine,
+    nodes: Sequence[int],
+    ctxs: List[LocalContext],
+    states: List[Any],
+    joins: Sequence[int],
+    recorded: Sequence[List[Any]],
+    max_rounds: int,
+    meter: Metering,
+) -> Tuple[RunResult, _Tape]:
+    """Replay a light cone (see :mod:`repro.dynamic.session`) on
+    :func:`_run_fast`.
+
+    ``nodes`` are the cone's node ids in ``topo`` (anything with
+    ``neighbours`` and ``ports``); the loop runs over their local ids
+    ``0..k-1``, by which ``ctxs``, ``states``, ``joins`` and the
+    returned result and tape are indexed.  Cone node ``i`` joins at
+    round ``joins[i]`` from ``states[i]``.  Every neighbour outside the
+    cone, and every cone node before its join round, sends its
+    ``recorded`` row (a recorded tape's ``out``, indexed by node id);
+    the result meters only the cone's fresh rows.  Setup is O(cone +
+    rim), never O(n).
+    """
+    wires = partial(
+        _CONE_WIRES[machine.model], nodes=nodes, joins=joins, recorded=recorded
+    )
+    tape = _Tape(len(nodes))
+    result = _run_fast(
+        topo, machine, ctxs, wires, states, 0, 0, [], max_rounds,
+        None, None, meter, tape, joins,
+    )
+    return result, tape
 
 
 # ----------------------------------------------------------------------

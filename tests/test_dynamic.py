@@ -15,6 +15,8 @@ Plus unit tests for the edit language and streams themselves.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro import obs
@@ -39,6 +41,7 @@ from repro.graphs import families
 from repro.graphs.setcover import random_instance
 from repro.graphs.weights import uniform_weights, unit_weights
 from repro.simulator.machine import BROADCAST, PORT_NUMBERING
+from repro.simulator.runtime import run
 
 from helpers import Echo, apply_loudly, assert_run_results_equal
 
@@ -255,6 +258,47 @@ def test_quiescent_nodes_stop_recording():
         assert sum(len(col) for col in hist.st) <= 4 * n
         rows = [row for col in hist.out for row in col if row is not None]
         assert all(any(m is not None for m in row) for row in rows)
+
+
+def _counting_steps(machine):
+    """``machine`` with its ``step`` counted into the returned list."""
+    calls = [0]
+    inner = machine.step
+
+    def step(ctx, state, inbox):
+        calls[0] += 1
+        return inner(ctx, state, inbox)
+
+    machine.step = step
+    return machine, calls
+
+
+@pytest.mark.parametrize("flow", ["section3", PORT_NUMBERING, BROADCAST])
+def test_recording_keeps_parking_on(flow):
+    """Opening an incremental session records its history on the
+    engine's loop with quiescence parking on: it steps exactly as often
+    as a plain run of the same instance, and agrees with it."""
+    if flow == "section3":
+        n, W = 1000, 8
+        g = families.cycle_graph(n)
+        inputs = uniform_weights(n, W, seed=1)
+        globals_map = {"delta": 2, "W": W}
+        rounds = schedule_length(2, W)
+        make = EdgePackingMachine
+    else:
+        g = families.cycle_graph(40)
+        inputs = uniform_weights(40, 6, seed=3)
+        globals_map, rounds = {}, 50
+        make = partial(Echo, flow)
+
+    machine, plain_steps = _counting_steps(make())
+    plain = run(g, machine, inputs=list(inputs), globals_map=globals_map,
+                max_rounds=rounds)
+    machine, session_steps = _counting_steps(make())
+    session = DynamicRun(g, inputs, machine, globals_map, rounds, flow="custom")
+    assert_run_results_equal(session.result, plain, "recorded", "plain")
+    assert session_steps[0] == plain_steps[0]
+    assert plain_steps[0] < g.n * plain.rounds  # parking engaged
 
 
 @pytest.mark.parametrize("model", [PORT_NUMBERING, BROADCAST])

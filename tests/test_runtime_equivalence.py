@@ -375,6 +375,6 @@ def test_quiescence_parking_in_both_models(model):
     ref, ref_steps = counted_run(run_reference)
     assert_run_results_equal(fast, ref, label_a="fast", label_b="reference")
     assert ref_steps == len(k) * Echo.HORIZON
-    # A node with input k talks for k rounds and parks after the first
-    # silent one.
-    assert fast_steps == sum(k) + len(k)
+    # A node with input k talks for k rounds and parks the round it
+    # turns quiescent, before its first silent round.
+    assert fast_steps == sum(k)
