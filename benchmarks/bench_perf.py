@@ -27,7 +27,7 @@ from repro.core.fractional_packing import (
     FractionalPackingMachine,
     fp_schedule_length,
 )
-from repro.dynamic import DynamicRun, RandomChurn
+from repro.dynamic import DynamicRun, RandomChurn, ServingHost
 from repro.graphs import families
 from repro.graphs.setcover import random_instance
 from repro.graphs.weights import uniform_weights
@@ -241,3 +241,27 @@ def test_perf_dynamic_churn_batches(benchmark):
         rounds=5, iterations=1,
     )
     assert all(s.repaired_fraction < 1.0 for s in session.stats)
+
+
+def test_perf_serving_apply(benchmark):
+    """The same 16 batches through ``host.apply`` on a one-worker
+    ``ServingHost``: transport, the worker-side replay and the host's
+    commit, including its checkpoint refresh (each round opens a fresh
+    session untimed)."""
+    blob, batches = _churn_session_blob()
+    host = ServingHost(workers=1)
+    opened = []
+
+    def open_session():
+        opened.append(f"r{len(opened)}")
+        host.open(opened[-1], blob)
+        return (opened[-1],), {}
+
+    def apply_all(sid):
+        return [host.apply(sid, batch) for batch in batches]
+
+    stats = benchmark.pedantic(
+        apply_all, setup=open_session, rounds=5, iterations=1,
+    )
+    host.shutdown()
+    assert all(s.repaired_fraction < 1.0 for s in stats)

@@ -19,14 +19,18 @@ Three phases, recorded together in the ``serving`` section of
 2. **In-process serving + steady-state memory** (runs everywhere).
    A ``ServingHost(workers=0)`` multiplexes ``--sessions`` sessions
    through ``--batches`` scripted waves; reports batches/sec,
-   sessions/sec and the host's p50/p99 batch latency, plus the
-   steady-state traced memory (tracemalloc, sessions still resident)
-   per session.
+   sessions/sec and the host's p50/p99 batch latency.  A second,
+   untimed pass serves the same script under tracemalloc and records
+   the steady-state traced memory (sessions still resident) per
+   session, so the timed pass never pays the tracer.
 
-3. **Pooled throughput** (needs >= 4 cores; skipped with a clear
-   reason below that).  The same workload over ``--workers`` warm
-   single-worker pools — the multi-core serving configuration the
-   host exists for.
+3. **Pooled vs in-process** (needs >= 2 cores; skipped with a clear
+   reason below that).  The scripted waves where multiplexing pays
+   (8 sessions x 8 batches, cycle n=4096, 64 edits a batch) are
+   served in-process and over ``--workers`` warm single-worker pools
+   (capped at the core count), interleaved for 3 reps.  The gate
+   asserts best-of-3 pooled/in-process throughput >= 1.25x, and that
+   both modes return the same batch stats.
 
 Usage::
 
@@ -58,10 +62,15 @@ from repro.dynamic import (  # noqa: E402
 )
 from repro.graphs import families  # noqa: E402
 from repro.graphs.weights import unit_weights  # noqa: E402
-from repro._util.parallel import retire_serve_pools  # noqa: E402
+from repro._util.parallel import retire_serve_pools, serve_pool  # noqa: E402
 
 BASELINE = Path(__file__).with_name("BENCH_perf.json")
-MIN_POOLED_CORES = 4
+MIN_POOLED_CORES = 2
+#: The pooled phase's workload: sessions, batches per session, cycle
+#: size and edits per batch.
+POOLED_WORKLOAD = (8, 8, 4096, 64)
+POOLED_REPS = 3
+MIN_POOLED_RATIO = 1.25
 
 
 def host_record():
@@ -145,20 +154,19 @@ def run_o_dirty(args):
 # ----------------------------------------------------------------------
 
 
-def script_sessions(args):
-    """Per session: (initial snapshot, scripted batches) — untimed."""
+def script_sessions(sessions, batches, n, edits, seed):
+    """Per session: (id, initial snapshot, scripted batches) — untimed."""
     scripts = []
-    for i in range(args.sessions):
-        n = args.serve_n
-        g = families.cycle_graph(n)
+    for i in range(sessions):
         driver = DynamicRun.vertex_cover(
-            g, unit_weights(n), mode="incremental", metering="none",
+            families.cycle_graph(n), unit_weights(n),
+            mode="incremental", metering="none",
         )
         blob0 = driver.snapshot()
-        stream = RandomChurn(edits_per_batch=2, seed=args.seed + i,
+        stream = RandomChurn(edits_per_batch=edits, seed=seed + i,
                              max_degree=2)
         script = []
-        while len(script) < args.batches:
+        while len(script) < batches:
             batch = stream.next_batch(driver.graph, driver.inputs)
             if not batch:
                 continue
@@ -169,15 +177,17 @@ def script_sessions(args):
 
 
 def serve_scripts(host, scripts):
-    """Open + drive all scripted sessions; returns wall seconds."""
+    """Open + drive all scripted sessions; returns (wall seconds, the
+    batch stats in wave order)."""
     t0 = time.perf_counter()
     for sid, blob0, _ in scripts:
         host.open(sid, blob0)
+    stats = []
     waves = max(len(s) for _, _, s in scripts)
     for w in range(waves):
         items = [(sid, s[w]) for sid, _, s in scripts if w < len(s)]
-        host.apply_each(items)
-    return time.perf_counter() - t0
+        stats.extend(host.apply_each(items))
+    return time.perf_counter() - t0, stats
 
 
 def throughput_record(args, report, elapsed):
@@ -196,21 +206,25 @@ def throughput_record(args, report, elapsed):
 
 
 def run_in_process(args):
-    scripts = script_sessions(args)
+    scripts = script_sessions(args.sessions, args.batches, args.serve_n, 2,
+                              args.seed)
+    host = ServingHost(workers=0)
+    elapsed, _ = serve_scripts(host, scripts)
+    record = throughput_record(args, host.report(), elapsed)
+    record["workers"] = 0
+    host.shutdown()
+    # Untimed: the same sessions under tracemalloc, still resident, are
+    # the steady-state footprint.
     tracemalloc.start()
     host = ServingHost(workers=0)
-    elapsed = serve_scripts(host, scripts)
-    report = host.report()
+    serve_scripts(host, scripts)
     steady_bytes, _peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    record = throughput_record(args, report, elapsed)
-    record["workers"] = 0
-    # sessions are still resident: this is the steady-state footprint
+    host.shutdown()
     record["steady_state_mb_total"] = round(steady_bytes / 1e6, 2)
     record["steady_state_kb_per_session"] = round(
         steady_bytes / 1e3 / args.sessions, 1
     )
-    host.shutdown()
     print(f"  in-process: {record['batches_per_sec']} batches/s, "
           f"p99 {record['p99_batch_ms']} ms, "
           f"{record['steady_state_kb_per_session']} kB/session")
@@ -226,18 +240,49 @@ def run_pooled(args):
         )
         print(f"  pooled: SKIPPED — {reason}")
         return {"skipped": reason}
-    scripts = script_sessions(args)
-    host = ServingHost(workers=args.workers)
+    workers = min(args.workers, cores)
+    sessions, batches, n, edits = POOLED_WORKLOAD
+    print(f"pooled vs in-process: {sessions} sessions x {batches} batches, "
+          f"n={n}, {edits} edits/batch, {workers} workers")
     try:
-        elapsed = serve_scripts(host, scripts)
-        report = host.report()
-        record = throughput_record(args, report, elapsed)
-        record["workers"] = args.workers
-        host.shutdown()
+        for i in range(workers):  # fork the workers before scripting
+            serve_pool(i).submit(os.getpid).result()
+        scripts = script_sessions(sessions, batches, n, edits, args.seed)
+        total = sum(len(s) for _, _, s in scripts)
+        rates = {0: [], workers: []}
+        stats = {}
+        for rep in range(POOLED_REPS):
+            for mode in rates:  # interleaved: in-process, then pooled
+                host = ServingHost(workers=mode)
+                elapsed, stats[mode] = serve_scripts(host, scripts)
+                host.shutdown()
+                rates[mode].append(round(total / elapsed, 2))
+                print(f"  rep {rep + 1} workers={mode}: "
+                      f"{rates[mode][-1]} batches/s")
     finally:
         retire_serve_pools()
-    print(f"  pooled x{args.workers}: {record['batches_per_sec']} batches/s, "
-          f"p99 {record['p99_batch_ms']} ms")
+    assert stats[0] == stats[workers], "pooled stats differ from in-process"
+    ratio = max(rates[workers]) / max(rates[0])
+    record = {
+        "workload": (
+            f"incremental DynamicRun on cycle, {sessions} sessions x "
+            f"{batches} scripted waves, {edits} edits/batch"
+        ),
+        "n_per_session": n,
+        "workers": workers,
+        "reps": POOLED_REPS,
+        "in_process_batches_per_sec": rates[0],
+        "pooled_batches_per_sec": rates[workers],
+        "best_pooled_over_in_process": round(ratio, 3),
+        "gate_min_ratio": MIN_POOLED_RATIO,
+    }
+    assert ratio >= MIN_POOLED_RATIO, (
+        f"pooled gate: {workers} workers served {ratio:.2f}x the "
+        f"in-process throughput (best of {POOLED_REPS}; need "
+        f">= {MIN_POOLED_RATIO}x) — multiplexing does not pay here"
+    )
+    print(f"  pooled gate (best-of-{POOLED_REPS} ratio {ratio:.2f} >= "
+          f"{MIN_POOLED_RATIO}): PASS")
     return record
 
 
@@ -254,13 +299,14 @@ def main(argv=None) -> int:
     parser.add_argument("--o-dirty-ratio", type=float, default=3.0,
                         help="max allowed large/small median ratio")
     parser.add_argument("--sessions", type=int, default=16,
-                        help="concurrent sessions in the serving phases")
+                        help="concurrent sessions in the in-process phase")
     parser.add_argument("--batches", type=int, default=10,
                         help="batches per served session")
     parser.add_argument("--serve-n", type=int, default=512,
                         help="instance size per served session")
     parser.add_argument("--workers", type=int, default=4,
-                        help="worker pools for the pooled phase")
+                        help="worker pools for the pooled phase (capped at "
+                             "the core count)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--skip-o-dirty", action="store_true",
                         help="skip the (slow) O(dirty) gate phase")

@@ -17,15 +17,18 @@ Design:
   columns, memo caches) resident between batches — a batch ships only
   the edit list and returns only the :class:`~repro.dynamic.session.
   BatchStats`, never the session.
+* **One path.**  Worker ``i`` is ``serve_pool(i)``; with ``workers=0``
+  every session maps to worker ``-1``, this process, through the same
+  code.  A session's worker decides only where its batches trace and
+  whether it keeps recovery state (:class:`_Slot`).
 * **Snapshots as the transport.**  Sessions enter and leave the host
   as :meth:`DynamicRun.snapshot` bytes — the same durable payload the
   CLI writes to disk — so opening on a worker is just ``restore``.
-  With ``workers=0`` the host runs every session in-process (no pools,
-  bit-identical results): the mode CI uses on single-core runners.
-* **Crash recovery.**  The host keeps, per session, the last
-  checkpoint (snapshot bytes, refreshed every ``checkpoint_every``
-  committed batches) plus the log of edit batches committed since.  A
-  :class:`BrokenProcessPool` retires just that worker's pool
+* **Crash recovery.**  The host keeps, per pooled session, the last
+  checkpoint (snapshot bytes, refreshed once a wave has settled with
+  ``checkpoint_every`` committed batches in the log) plus the log of
+  edit batches committed since.  A :class:`BrokenProcessPool` retires
+  just that worker's pool
   (:func:`~repro._util.parallel.retire_serve_pools`), and every
   resident session is rebuilt on the fresh worker by restoring its
   checkpoint and replaying its log — sessions are deterministic, so
@@ -46,11 +49,15 @@ equality, and checkpoint-replay recovery after a worker kill.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import math
 import os
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -109,14 +116,13 @@ def latency_summary(samples_ms: Sequence[float]) -> Dict[str, float]:
 
 #: Sessions resident in *this* process, keyed by the host-namespaced
 #: session key.  In a serving worker it holds that worker's sessions;
-#: in the host process it is only used by ``workers=0`` in-process
-#: hosts (namespacing keeps concurrent hosts apart either way).
+#: in the host process it holds the sessions of ``workers=0`` hosts
+#: (namespacing keeps concurrent hosts apart either way).
 _SESSIONS: Dict[str, DynamicRun] = {}
 
 
-def _w_open(key: str, blob: bytes) -> bool:
+def _w_open(key: str, blob: bytes) -> None:
     _SESSIONS[key] = DynamicRun.restore(blob)
-    return True
 
 
 def _w_apply(key: str, edits: Sequence[GraphEdit]) -> BatchStats:
@@ -146,25 +152,67 @@ def _w_close(key: str) -> bytes:
     return _SESSIONS.pop(key).snapshot()
 
 
+def _w_drop(key: str) -> None:
+    _SESSIONS.pop(key, None)
+
+
 def _w_recover(
     key: str, blob: bytes, log: Sequence[Sequence[GraphEdit]]
-) -> bool:
+) -> None:
     """Checkpoint restore + deterministic replay of the committed log."""
     session = DynamicRun.restore(blob)
     for batch in log:
         session.apply(batch)
     _SESSIONS[key] = session
-    return True
+
+
+class _InProcess:
+    """Worker ``-1``'s executor: ``submit(fn, *args).result()`` runs the
+    call in this process when its result is collected, so an in-process
+    wave runs in input order as :meth:`ServingHost.apply_each` collects
+    it."""
+
+    @staticmethod
+    def submit(fn: Any, *args: Any) -> Any:
+        return SimpleNamespace(result=functools.partial(fn, *args))
+
+
+def _executor(worker: int) -> Any:
+    """Worker ``i >= 0`` runs on ``serve_pool(i)``; worker ``-1`` here."""
+    return serve_pool(worker) if worker >= 0 else _InProcess
+
+
+def _submit(worker: int, fn: Any, *args: Any) -> Any:
+    """Submit ``fn(*args)`` to a worker; a pool already known dead fails
+    the returned future rather than ``submit`` itself."""
+    try:
+        return _executor(worker).submit(fn, *args)
+    except BrokenProcessPool as exc:
+        fut: Future = Future()
+        fut.set_exception(exc)
+        return fut
 
 
 @dataclass
 class _Slot:
-    """Host-side bookkeeping for one served session."""
+    """Host-side bookkeeping for one served session.
+
+    Its worker decides what differs between the modes (:attr:`pooled`):
+    a pooled session's traced batches come back with the worker's
+    trace, absorbed as lane ``serve worker {i}``, and it keeps the
+    last checkpoint plus the batches committed since.  An in-process
+    session records into the host's tracer directly and, with no
+    worker to lose, keeps neither a checkpoint nor a log.
+    """
 
     worker: int  #: worker index (-1 = in-process)
     checkpoint: bytes
     log: List[List[GraphEdit]] = field(default_factory=list)
     batches: int = 0
+
+    @property
+    def pooled(self) -> bool:
+        return self.worker >= 0
 
 
 @dataclass(frozen=True)
@@ -175,7 +223,7 @@ class HostReport:
     workers: int
     batches_applied: int
     worker_recoveries: int
-    latency_ms: Dict[str, float]  #: :func:`latency_summary` of batch latencies
+    latency_ms: Dict[str, float]  #: :func:`latency_summary`, call to commit
     #: Trace-derived serving counters (:data:`repro.obs.COUNTER_NAMES`
     #: vocabulary): checkpoints taken, worker recoveries, batches
     #: replayed during recovery.  Kept host-side, so populated whether
@@ -186,14 +234,21 @@ class HostReport:
 class ServingHost:
     """Serve many dynamic sessions over warm worker processes.
 
-    ``workers=0`` (default) multiplexes in-process — deterministic,
-    pool-free, the right mode for tests and single-core hosts.
     ``workers=W`` distributes sessions over ``W`` warm single-worker
     pools with session affinity and checkpoint-replay crash recovery.
+    ``workers=0`` (default) runs every session in-process, as worker
+    ``-1``, through the same code — deterministic and pool-free, the
+    right mode for tests and single-core hosts.
 
-    ``checkpoint_every`` bounds the recovery replay: after that many
-    committed batches the host pulls a fresh snapshot from the worker
-    and truncates the log (trade IPC for shorter replays).
+    ``checkpoint_every`` bounds the recovery replay: once a call has
+    settled with that many committed batches in a session's log, the
+    host pulls a fresh snapshot from the worker and truncates the log
+    (trade IPC for shorter replays).
+
+    A batch's latency runs from the start of the call to its commit,
+    and a wave commits in input order: in-process, batch k's latency
+    includes the batches that ran before it; pooled, the ones ahead of
+    it in its worker's FIFO (other workers run theirs alongside).
     """
 
     def __init__(self, workers: int = 0, checkpoint_every: int = 16):
@@ -208,7 +263,6 @@ class ServingHost:
         self._ns = f"sh{next(_HOST_SEQ)}"
         self._slots: Dict[str, _Slot] = {}
         self._next_worker = 0
-        self._recoveries = 0
         self._latencies: List[float] = []
         self._counters: Dict[str, int] = {
             CTR_SERVING_CHECKPOINTS: 0,
@@ -234,14 +288,13 @@ class ServingHost:
             raise RuntimeError("host is shut down")
         if session_id in self._slots:
             raise ValueError(f"session {session_id!r} is already open")
-        if self.workers:
-            worker = self._next_worker % self.workers
-            self._next_worker += 1
-            self._submit(worker, _w_open, self._key(session_id), snapshot)
-        else:
-            worker = -1
-            _w_open(self._key(session_id), snapshot)
-        self._slots[session_id] = _Slot(worker=worker, checkpoint=snapshot)
+        # Round-robin affinity; with no workers, everything is worker -1.
+        worker = self._next_worker % self.workers if self.workers else -1
+        self._next_worker += 1
+        self._call(worker, _w_open, self._key(session_id), snapshot)
+        self._slots[session_id] = _Slot(
+            worker=worker, checkpoint=snapshot if worker >= 0 else b""
+        )
 
     def open_session(self, session_id: str, session: DynamicRun) -> None:
         """Open an independent copy of a live session (via snapshot)."""
@@ -250,17 +303,12 @@ class ServingHost:
     def snapshot(self, session_id: str) -> bytes:
         """The session's current snapshot (worker round-trip)."""
         slot = self._slot(session_id)
-        if slot.worker < 0:
-            return _w_snapshot(self._key(session_id))
-        return self._submit(slot.worker, _w_snapshot, self._key(session_id))
+        return self._call(slot.worker, _w_snapshot, self._key(session_id))
 
     def close(self, session_id: str) -> bytes:
         """Evict a session, returning its final snapshot."""
         slot = self._slot(session_id)
-        if slot.worker < 0:
-            blob = _w_close(self._key(session_id))
-        else:
-            blob = self._submit(slot.worker, _w_close, self._key(session_id))
+        blob = self._call(slot.worker, _w_close, self._key(session_id))
         del self._slots[session_id]
         return blob
 
@@ -268,31 +316,23 @@ class ServingHost:
         return list(self._slots)
 
     def shutdown(self) -> None:
-        """Drop every session (the warm pools stay for the next host)."""
-        for sid in list(self._slots):
-            slot = self._slots.pop(sid)
-            if slot.worker < 0:
-                _SESSIONS.pop(self._key(sid), None)
+        """Drop every session on its worker (the pools stay warm).  A
+        dead worker holds no sessions, so it is not recovered."""
         self._closed = True
+        drops = [
+            _submit(slot.worker, _w_drop, self._key(sid))
+            for sid, slot in self._slots.items()
+        ]
+        self._slots.clear()
+        for fut in drops:
+            with contextlib.suppress(BrokenProcessPool):
+                fut.result()
 
     # -- batches ---------------------------------------------------------
 
-    def apply(
-        self, session_id: str, edits: Sequence[GraphEdit]
-    ) -> BatchStats:
+    def apply(self, session_id: str, edits: Sequence[GraphEdit]) -> BatchStats:
         """Apply one batch to one session (synchronous)."""
-        slot = self._slot(session_id)
-        edits = list(edits)
-        t0 = obs.clock()
-        if slot.worker < 0:
-            # In-process: the session records into the host's own
-            # tracer (if any) directly; no payload transport needed.
-            stats = _w_apply(self._key(session_id), edits)
-        else:
-            stats = self._submit_apply(session_id, slot, edits)
-        self._commit(session_id, slot, edits)
-        self._latencies.append((obs.clock() - t0) * 1e3)
-        return stats
+        return self.apply_each([(session_id, edits)])[0]
 
     def apply_each(
         self, items: Sequence[Tuple[str, Sequence[GraphEdit]]]
@@ -301,135 +341,93 @@ class ServingHost:
 
         Batches for different sessions run concurrently (one in-flight
         lane per worker); batches for the same session keep their list
-        order (single-worker pools execute FIFO).  Results come back
-        in input order.  If any batch is rejected, the first exception
-        is re-raised after every other batch has settled — committed
-        siblings stay committed, exactly as if applied one by one.
+        order (single-worker pools execute FIFO, and worker ``-1`` runs
+        each batch as it is collected).  Results come back in input
+        order.  A wave naming an unknown session raises ``KeyError``
+        before any batch runs.  If any batch is rejected, the first
+        exception is re-raised after every other batch has settled —
+        committed siblings stay committed, exactly as if applied one
+        by one.
         """
-        items = [(sid, list(edits)) for sid, edits in items]
         t0 = obs.clock()
-        if not self.workers:
-            results: List[Any] = []
-            first_err: Optional[BaseException] = None
-            for sid, edits in items:
-                try:
-                    results.append(self.apply(sid, edits))
-                except (Exception,) as exc:
-                    if first_err is None:
-                        first_err = exc
-                    results.append(None)
-            if first_err is not None:
-                raise first_err
-            return results
-
         tr = obs.current()
-        w_apply = _w_apply if tr is None else _w_apply_traced
-        futures: List[Any] = []
-        for sid, edits in items:
-            slot = self._slot(sid)
-            futures.append(
-                (sid, edits, serve_pool(slot.worker).submit(
-                    w_apply, self._key(sid), edits
-                ))
-            )
-        results = [None] * len(items)
-        broken: List[int] = []
-        first_err = None
-        for i, (sid, edits, fut) in enumerate(futures):
-            slot = self._slots[sid]
-            try:
-                value = fut.result()
-                if tr is not None:
-                    value, payload = value
-                    tr.absorb(payload, lane=f"serve worker {slot.worker}")
-                results[i] = value
-                self._commit(sid, slot, edits)
-            except BrokenProcessPool:
-                broken.append(i)
-            except Exception as exc:
-                if first_err is None:
-                    first_err = exc
-        if broken:
-            workers = {self._slots[futures[i][0]].worker for i in broken}
-            for w in workers:
-                self._recover_worker(w)
-            # The crashed worker never committed these; re-run in order.
-            for i in broken:
-                sid, edits, _ = futures[i]
-                slot = self._slots[sid]
+        wave = [(sid, self._slot(sid), list(edits)) for sid, edits in items]
+        results: List[Any] = [None] * len(wave)
+        first_err: Optional[BaseException] = None
+        pending = range(len(wave))
+        for retry in (False, True):
+            futures = [(i, self._send(tr, *wave[i])) for i in pending]
+            pending = []
+            for i, (fut, lane) in futures:
+                sid, slot, edits = wave[i]
                 try:
-                    results[i] = self._submit_apply(sid, slot, edits)
-                    self._commit(sid, slot, edits)
+                    value = fut.result()
                 except Exception as exc:
-                    if first_err is None:
+                    if isinstance(exc, BrokenProcessPool) and not retry:
+                        pending.append(i)
+                    elif first_err is None:
                         first_err = exc
-        elapsed_ms = (obs.clock() - t0) * 1e3
-        # One multiplexed wave: attribute the wave's wall clock to each
-        # batch would overcount; record the per-batch share.
-        if items:
-            share = elapsed_ms / len(items)
-            self._latencies.extend([share] * len(items))
+                    continue
+                if lane is not None:
+                    value, payload = value
+                    tr.absorb(payload, lane=lane)
+                results[i] = value
+                slot.batches += 1
+                if slot.pooled:
+                    slot.log.append(edits)
+                self._latencies.append((obs.clock() - t0) * 1e3)
+            if not pending:
+                break
+            # The crashed worker never committed these; recover, re-run
+            # them in order.
+            for w in {wave[i][1].worker for i in pending}:
+                self._recover_worker(w)
+        # Checkpoint only once the wave has settled: a snapshot queued
+        # behind a later batch of the same session would hold that batch,
+        # and recovery would replay it again from the log.
+        for sid, slot in {sid: slot for sid, slot, _ in wave}.items():
+            if len(slot.log) >= self.checkpoint_every:
+                self._checkpoint(sid, slot)
         if first_err is not None:
             raise first_err
         return results
 
-    def _commit(self, session_id: str, slot: _Slot, edits: List[GraphEdit]) -> None:
-        slot.log.append(edits)
-        slot.batches += 1
-        if slot.worker >= 0 and len(slot.log) >= self.checkpoint_every:
-            self._counters[CTR_SERVING_CHECKPOINTS] += 1
-            tr = obs.current()
-            if tr is not None:
-                tr.event(
-                    EV_SERVING_CHECKPOINT,
-                    session=session_id,
-                    batches=len(slot.log),
-                )
-                tr.count(CTR_SERVING_CHECKPOINTS)
-            slot.checkpoint = self._submit(
-                slot.worker, _w_snapshot, self._key(session_id)
-            )
-            slot.log.clear()
+    def _send(
+        self, tr: Any, session_id: str, slot: _Slot, edits: List[GraphEdit]
+    ) -> Tuple[Any, Optional[str]]:
+        """Submit one batch; returns its future and the trace lane its
+        worker-side payload is absorbed into (``None``: no payload)."""
+        traced = tr is not None and slot.pooled
+        lane = f"serve worker {slot.worker}" if traced else None
+        fn = _w_apply_traced if traced else _w_apply
+        return _submit(slot.worker, fn, self._key(session_id), edits), lane
+
+    def _checkpoint(self, session_id: str, slot: _Slot) -> None:
+        self._counters[CTR_SERVING_CHECKPOINTS] += 1
+        tr = obs.current()
+        if tr is not None:
+            tr.event(EV_SERVING_CHECKPOINT, session=session_id,
+                     batches=len(slot.log))
+            tr.count(CTR_SERVING_CHECKPOINTS)
+        slot.checkpoint = self._call(
+            slot.worker, _w_snapshot, self._key(session_id)
+        )
+        slot.log.clear()
 
     # -- worker plumbing -------------------------------------------------
 
-    def _submit(self, worker: int, fn: Any, *args: Any) -> Any:
-        """Submit with one recover-and-retry on a dead worker."""
+    def _call(self, worker: int, fn: Any, *args: Any) -> Any:
+        """Run ``fn(*args)`` on a worker, with one recover-and-retry if
+        the worker died."""
         try:
-            return serve_pool(worker).submit(fn, *args).result()
+            return _executor(worker).submit(fn, *args).result()
         except BrokenProcessPool:
             self._recover_worker(worker)
-            return serve_pool(worker).submit(fn, *args).result()
-
-    def _submit_apply(
-        self, session_id: str, slot: _Slot, edits: List[GraphEdit]
-    ) -> BatchStats:
-        tr = obs.current()
-        w_apply = _w_apply if tr is None else _w_apply_traced
-        try:
-            value = (
-                serve_pool(slot.worker)
-                .submit(w_apply, self._key(session_id), edits)
-                .result()
-            )
-        except BrokenProcessPool:
-            # The dying worker cannot have committed this batch (it
-            # died holding it); recover the fleet slice and retry once.
-            self._recover_worker(slot.worker)
-            value = (
-                serve_pool(slot.worker)
-                .submit(w_apply, self._key(session_id), edits)
-                .result()
-            )
-        if tr is not None:
-            value, payload = value
-            tr.absorb(payload, lane=f"serve worker {slot.worker}")
-        return value
+            return _executor(worker).submit(fn, *args).result()
 
     def _recover_worker(self, worker: int) -> None:
         """Rebuild every session of a dead worker on a fresh process."""
         retire_serve_pools(worker)
-        self._recoveries += 1
         self._counters[CTR_SERVING_RECOVERIES] += 1
         tr = obs.current()
         pool = serve_pool(worker)  # fresh single-worker pool
@@ -458,7 +456,7 @@ class ServingHost:
             sessions=len(self._slots),
             workers=self.workers,
             batches_applied=sum(s.batches for s in self._slots.values()),
-            worker_recoveries=self._recoveries,
+            worker_recoveries=self._counters[CTR_SERVING_RECOVERIES],
             latency_ms=latency_summary(self._latencies),
             counters=dict(self._counters),
         )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.dynamic import (
     latency_summary,
     remove_edge,
 )
+from repro.dynamic import serving
 from repro.dynamic.session import BatchStats
 from repro.graphs import families
 from repro.graphs.weights import uniform_weights, unit_weights
@@ -38,6 +40,11 @@ from helpers import assert_run_results_equal
 def _retire_pools_after_module():
     yield
     retire_serve_pools()
+
+
+#: Both hosts run one code path: worker -1 (this process) or one warm
+#: serving worker.
+WORKERS = pytest.mark.parametrize("workers", [0, 1], ids=["in-process", "pooled"])
 
 
 def _scripted_sessions(count, batches=5, n=14, mode="incremental"):
@@ -133,11 +140,11 @@ def test_in_process_serving_matches_solo():
     host.shutdown()
 
 
-def test_apply_stats_match_solo_stats():
+def test_apply_stats_match_solo_stats(workers=0):
     """The served BatchStats is the session's own (wall_ms excluded
     from equality by the dataclass, so == is the full comparison)."""
     [(blob0, script, _)] = _scripted_sessions(1, batches=4)
-    host = ServingHost()
+    host = ServingHost(workers=workers)
     host.open("a", blob0)
     solo = DynamicRun.restore(blob0)
     for batch in script:
@@ -145,9 +152,9 @@ def test_apply_stats_match_solo_stats():
     host.shutdown()
 
 
-def test_apply_each_orders_and_multiplexes():
+def test_apply_each_orders_and_multiplexes(workers=0):
     scripts = _scripted_sessions(3, batches=5)
-    host = ServingHost()
+    host = ServingHost(workers=workers)
     for i, (blob0, _, _) in enumerate(scripts):
         host.open(f"s{i}", blob0)
     waves = max(len(s) for _, s, _ in scripts)
@@ -189,12 +196,12 @@ def test_open_close_lifecycle_errors():
         ServingHost(checkpoint_every=0)
 
 
-def test_rejected_batch_leaves_session_untouched():
+def test_rejected_batch_leaves_session_untouched(workers=0):
     g = families.cycle_graph(8)
     session = DynamicRun.vertex_cover(
         g, unit_weights(8), mode="incremental", delta=3, W=1
     )
-    host = ServingHost()
+    host = ServingHost(workers=workers)
     host.open("a", session.snapshot())
     before = host.snapshot("a")
     with pytest.raises(EditError):
@@ -204,6 +211,107 @@ def test_rejected_batch_leaves_session_untouched():
     # The session still serves valid batches afterwards.
     stats = host.apply("a", [remove_edge(0, 1)])
     assert stats.batch == 1
+    host.shutdown()
+
+
+# ----------------------------------------------------------------------
+# One path: the same host code in-process (worker -1) and pooled
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "contract",
+    [
+        test_apply_stats_match_solo_stats,
+        test_apply_each_orders_and_multiplexes,
+        test_rejected_batch_leaves_session_untouched,
+    ],
+    ids=lambda contract: contract.__name__,
+)
+def test_contract_holds_on_one_warm_worker(contract):
+    """The in-process contracts above, rerun with ``workers=1``: the
+    same host code, with every batch applied (or rejected) inside a
+    serving worker."""
+    contract(workers=1)
+
+
+def _resident(host, sid):
+    """Whether ``host``'s session ``sid`` is still resident where it ran
+    (this process for ``workers=0``, else the warm worker 0)."""
+    key = host._key(sid)
+    try:
+        if host.workers:
+            serve_pool(0).submit(serving._w_snapshot, key).result()
+        else:
+            serving._w_snapshot(key)
+    except KeyError:
+        return False
+    return True
+
+
+@WORKERS
+def test_shutdown_drops_sessions_on_their_worker(workers):
+    """shutdown() leaves none of its sessions behind, on the warm
+    worker that later hosts reuse as well as in-process."""
+    [(blob0, _, _)] = _scripted_sessions(1, batches=1)
+    host = ServingHost(workers=workers)
+    host.open("a", blob0)
+    host.open("b", blob0)
+    assert [_resident(host, sid) for sid in "ab"] == [True, True]
+    host.shutdown()
+    assert [_resident(host, sid) for sid in "ab"] == [False, False]
+
+
+@WORKERS
+def test_only_pooled_sessions_keep_a_replay_log(workers):
+    """An in-process session has no worker to lose: it keeps neither a
+    checkpoint nor a replay log.  A pooled one keeps its last checkpoint
+    and the batches committed since."""
+    [(blob0, script, driver)] = _scripted_sessions(1, batches=10)
+    host = ServingHost(workers=workers, checkpoint_every=4)
+    host.open("a", blob0)
+    for batch in script:
+        host.apply("a", batch)
+    checkpoints, logged = divmod(len(script), 4) if workers else (0, 0)
+    assert len(host._slots["a"].log) == logged
+    assert bool(host._slots["a"].checkpoint) == bool(workers)
+    assert host.report().counters["serving.checkpoints"] == checkpoints
+    _assert_served_matches_solo(host, "a", driver)
+    host.shutdown()
+
+
+@WORKERS
+def test_latency_runs_from_call_to_commit(workers):
+    """One latency definition in both modes: a batch's latency runs
+    from the start of the call to its commit.  On one worker a wave's
+    last batch waited for every batch before it; a rejected batch
+    records no latency."""
+    scripts = _scripted_sessions(3, batches=2)
+    host = ServingHost(workers=workers)
+    for i, (blob0, _, _) in enumerate(scripts):
+        host.open(f"s{i}", blob0)
+    wave = [(f"s{i}", s[0]) for i, (_, s, _) in enumerate(scripts)]
+    results = host.apply_each(wave)
+    report = host.report()
+    assert report.latency_ms["count"] == report.batches_applied == 3
+    assert report.latency_ms["max_ms"] >= sum(s.wall_ms for s in results)
+    with pytest.raises(EditError):
+        host.apply_each([("s0", scripts[0][1][1]), ("s1", [add_edge(0, 0)])])
+    report = host.report()
+    assert report.latency_ms["count"] == report.batches_applied == 4
+    host.shutdown()
+
+
+@WORKERS
+def test_wave_naming_unknown_session_runs_nothing(workers):
+    [(blob0, script, _)] = _scripted_sessions(1, batches=1)
+    host = ServingHost(workers=workers)
+    host.open("a", blob0)
+    before = host.snapshot("a")
+    with pytest.raises(KeyError, match="no open session"):
+        host.apply_each([("a", script[0]), ("ghost", script[0])])
+    assert host.snapshot("a") == before
+    assert host.report().batches_applied == 0
     host.shutdown()
 
 
@@ -255,4 +363,46 @@ def test_worker_crash_recovers_from_checkpoint_and_log():
     for i, (_, _, driver) in enumerate(scripts):
         _assert_served_matches_solo(host, f"s{i}", driver)
     assert host.report().worker_recoveries >= 1
+    host.shutdown()
+
+
+def test_checkpoint_inside_a_wave_holds_no_later_batch():
+    """A checkpoint falls due mid-wave while a later batch of the same
+    session is already queued on the worker: the refreshed checkpoint
+    must not contain that batch, or recovery replays it twice."""
+    [(blob0, script, driver)] = _scripted_sessions(1, batches=5, n=12)
+    host = ServingHost(workers=1, checkpoint_every=2)
+    host.open("a", blob0)
+    host.apply("a", script[0])
+    host.apply_each([("a", script[1]), ("a", script[2])])
+    os.kill(serve_pool(0).submit(os.getpid).result(), signal.SIGKILL)
+    for batch in script[3:]:
+        host.apply("a", batch)
+    _assert_served_matches_solo(host, "a", driver)
+    assert host.report().worker_recoveries == 1
+    host.shutdown()
+
+
+def test_wave_on_a_worker_known_dead_recovers():
+    """Once the pool has marked its dead worker broken, ``submit`` itself
+    raises; a wave sent then must still recover and resubmit, not leak
+    the error."""
+    scripts = _scripted_sessions(2, batches=4, n=12)
+    host = ServingHost(workers=1, checkpoint_every=3)
+    for i, (blob0, _, _) in enumerate(scripts):
+        host.open(f"s{i}", blob0)
+    host.apply_each([(f"s{i}", s[0]) for i, (_, s, _) in enumerate(scripts)])
+
+    os.kill(serve_pool(0).submit(os.getpid).result(), signal.SIGKILL)
+    with pytest.raises(BrokenProcessPool):
+        serve_pool(0).submit(os.getpid).result()
+
+    waves = max(len(s) for _, s, _ in scripts)
+    for w in range(1, waves):
+        host.apply_each([
+            (f"s{i}", s[w]) for i, (_, s, _) in enumerate(scripts) if w < len(s)
+        ])
+    for i, (_, _, driver) in enumerate(scripts):
+        _assert_served_matches_solo(host, f"s{i}", driver)
+    assert host.report().worker_recoveries == 1
     host.shutdown()
