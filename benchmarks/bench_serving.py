@@ -11,7 +11,7 @@ Three phases, recorded together in the ``serving`` section of
    default.  With the mutable-topology overlay and light-cone warm
    restarts, per-batch cost is O(dirty ball), not O(n): the gate
    asserts the **median** per-batch time at the large size is at most
-   ``--o-dirty-ratio`` (default 3.0) times the small size's.  Medians,
+   ``MAX_O_DIRTY_RATIO`` (3.0) times the small size's.  Medians,
    not means: a stream occasionally dirties a region whose cone
    triggers the full-solve fallback, and that legitimate O(n) outlier
    must not mask the O(dirty) steady state.
@@ -71,6 +71,9 @@ MIN_POOLED_CORES = 2
 POOLED_WORKLOAD = (8, 8, 4096, 64)
 POOLED_REPS = 3
 MIN_POOLED_RATIO = 1.25
+#: The O(dirty) gate: the large size's median per-batch time over the
+#: small size's.
+MAX_O_DIRTY_RATIO = 3.0
 
 
 def host_record():
@@ -137,15 +140,15 @@ def run_o_dirty(args):
         "median_ms_small": round(cells[args.small_n] * 1e3, 3),
         "median_ms_large": round(cells[args.large_n] * 1e3, 3),
         "large_over_small_ratio": round(ratio, 3),
-        "gate_max_ratio": args.o_dirty_ratio,
+        "gate_max_ratio": MAX_O_DIRTY_RATIO,
     }
-    assert ratio <= args.o_dirty_ratio, (
+    assert ratio <= MAX_O_DIRTY_RATIO, (
         f"O(dirty) gate: per-batch cost grew {ratio:.2f}x from n="
         f"{args.small_n} to n={args.large_n} (limit "
-        f"{args.o_dirty_ratio}x) — batch application is not "
+        f"{MAX_O_DIRTY_RATIO}x) — batch application is not "
         f"n-independent"
     )
-    print(f"  o_dirty gate (ratio {ratio:.2f} <= {args.o_dirty_ratio}): PASS")
+    print(f"  o_dirty gate (ratio {ratio:.2f} <= {MAX_O_DIRTY_RATIO}): PASS")
     return record
 
 
@@ -296,8 +299,6 @@ def main(argv=None) -> int:
                         help="edits per batch in the O(dirty) gate (<= 8)")
     parser.add_argument("--o-dirty-batches", type=int, default=12,
                         help="scripted batches per O(dirty) cell")
-    parser.add_argument("--o-dirty-ratio", type=float, default=3.0,
-                        help="max allowed large/small median ratio")
     parser.add_argument("--sessions", type=int, default=16,
                         help="concurrent sessions in the in-process phase")
     parser.add_argument("--batches", type=int, default=10,

@@ -18,9 +18,9 @@ after every batch.  Two modes, selected once per session:
   :class:`~repro.dynamic.overlay.MutableTopology` in O(dirty region)
   instead of rebuilding the graph (vertex renumbering stays O(n), as
   in the reference semantics), and the repair re-executes only the
-  edit's *light cone* rather than every node of the dirty ball from
-  round 0 — see below.  The repaired states, outputs and metering are
-  spliced into the standing ``RunResult`` in place.
+  edit's *light cone*, the nodes the edit can perturb, rather than
+  every node — see below.  The repaired states, outputs and metering
+  are spliced into the standing ``RunResult`` in place.
 
 The two modes are **bit-for-bit identical** on every ``RunResult``
 field — outputs, rounds, ``all_halted``, message counts, metered bits,
@@ -36,41 +36,39 @@ be the nodes whose state after ``t`` rounds differs.  ``Dirty_0`` is
 the touched set (changed degree, weight, or existence).  A node
 outside the touched set has the *same* neighbour set in both graphs,
 so its round-``t`` inbox differs only if a neighbour is in
-``Dirty_t`` — hence ``Dirty_{t+1} ⊆ touched ∪ N(Dirty_t)``, and after
-``R`` executed rounds the dirty region is contained in the radius-``R``
-BFS ball around the touched nodes.  Everything outside the ball has an
-identical trajectory, so its recorded emissions, final state and
-output can be reused verbatim.
+``Dirty_t`` — and even then its state changes only if it still
+listens.  A node that starts round ``t`` halted, or quiescent (for
+machines with the quiescence protocol, :meth:`~repro.simulator.
+machine.Machine.quiescent` / ``fast_forward``: silent, and its
+``step`` ignores the inbox until it halts), from an unperturbed state
+keeps its recorded trajectory whatever its neighbours send from then
+on.  So the dirty set grows only through nodes that still listen:
+``Dirty_{t+1}`` holds only touched nodes and neighbours of ``Dirty_t``
+still listening in round ``t``.
 
-The **light cone** sharpens the same argument per node: a ball node
-``v`` at BFS distance ``d = dist(v, touched)`` cannot receive any
-perturbed message before round ``d − 1`` (information moves one hop
-per round), so its state trajectory through round ``d − 1`` — and its
-emission in round ``d − 1`` itself, a function of the round-``d − 1``
-state — are *identical* to the recording.  The session therefore keeps
-per-node state columns alongside the message history, and ``v`` joins
-the replay at round ``max(d − 1, 0)`` from its recorded state (or from
-``start``), emitting fresh rows from there — the first of which equals
-the recording.  Recording and replay both run on the fast engine's
-round loop (:func:`repro.simulator.runtime.run`): a full solve records
-a per-node tape as it goes, and a repair runs the loop over the cone
-with a join schedule, while the cone's neighbours outside it — and
-cone nodes not yet joined — send their recorded rows.
+The **light cone** is that growth, found by one BFS from the touched
+nodes out to the previous run's round count ``R``.  A node first
+reached at distance ``d ≥ 1`` is unperturbed through round ``d − 1``;
+if its recorded halt or quiescence round is ``≤ d − 1`` it stopped
+listening before the perturbation could arrive, so it is neither taken
+into the cone nor expanded — nothing passes through it.  By induction
+on ``t`` every node of ``Dirty_t`` is a cone node at distance
+``≤ t``, and everything outside the cone has an identical trajectory:
+its recorded emissions, final state and output are reused verbatim.
 
-**Quiescence** widens the skip.  For machines implementing the
-quiescence protocol (:meth:`~repro.simulator.machine.Machine.
-quiescent` / ``fast_forward``), a quiescent node is silent and its
-``step`` ignores the inbox until it halts, so like a halted node it
-can no longer be perturbed: a ball node that was already halted *or
-quiescent* by round ``d − 1`` keeps its recorded trajectory whatever
-its neighbours now send, and is not re-executed at all.  The loop
-parks a node the round it turns quiescent, in the recording and in the
-replay alike, so each node's columns end at its quiescence round and
-``fast_forward`` gives its final state and halt round.
-Re-executed work drops from ``|ball| × R`` node-rounds to the cone —
-``Σ_v (R − d(v))`` over the ball nodes still active when the
-wavefront reaches them, each cut off where it halts or parks — for a
-small batch on a large graph, a constant independent of ``n``.
+The session therefore records only each node's emission rows and its
+halt and quiescence rounds, and no states: a node's state after ``t``
+rounds is a function of its radius-``t`` ball, so the repair re-runs
+every cone node from ``start`` at round 0, while the cone's rim — its
+neighbours outside it, whose trajectories are unperturbed — sends its
+recorded rows.  Recording and replay both run on the fast engine's
+round loop (:func:`repro.simulator.runtime.run`), which parks a node
+the round it turns quiescent, so each node's rows end at its halt or
+quiescence round and ``fast_forward`` gives its final state and halt
+round.  Re-executed work drops from a full solve's ``n × R``
+node-rounds to the cone's area ``Σ_v R_v`` over the cone nodes, where ``R_v`` is the
+round ``v`` halts or parks — for a small batch on a large graph, a
+constant independent of ``n``.
 
 Requirements (both asserted where cheap, documented otherwise): the
 machine must be deterministic (it may receive a ``ctx.rng`` but must
@@ -149,8 +147,10 @@ DYNAMIC_MODES = ("incremental", "scratch")
 #: Version 7: Section 3 and Section 4 states are slotted and pickle
 #: their field values by position (:mod:`repro._util.states`).
 #: Version 8: the history drops its round count and per-round totals;
-#: the standing result's metering is the only copy.
-SNAPSHOT_VERSION = 8
+#: the standing result's metering is the only copy.  Version 9: the
+#: history drops its per-round states; a cone node re-runs from
+#: ``start``.
+SNAPSHOT_VERSION = 9
 
 _INF = math.inf
 
@@ -174,9 +174,10 @@ class _SessionHistory:
     """What one run leaves behind for the next batch's warm restart.
 
     Column-major so a cone replay touches only the columns of cone
-    nodes.  ``out``, ``st``, ``halt_round`` and ``quiet_round`` are a
-    recorded :class:`~repro.simulator.runtime._Tape` (see there), with
-    ``halt_round[v] == 0`` for a node halted before round 0.  Besides:
+    nodes and their rim.  ``out``, ``halt_round`` and ``quiet_round``
+    are a recorded :class:`~repro.simulator.runtime._Tape` (see there):
+    emission rows only, no states, with ``halt_round[v] == 0`` for a
+    node halted before round 0.  Besides:
 
     * ``deg[v]`` — ``v``'s degree when its rows were recorded (the
       broadcast metering delta needs it; a node's rows are only ever
@@ -191,10 +192,6 @@ class _SessionHistory:
     splices in place.
     """
 
-    # Field order is pickle order: ``st`` goes first so what every
-    # state repeats takes the pickle memo's one-byte slots (see
-    # DynamicRun.snapshot).
-    st: List[List[Any]]
     out: List[List[Any]]
     halt_round: List[float]
     quiet_round: List[float]
@@ -202,24 +199,35 @@ class _SessionHistory:
     halt_counts: "Counter[float]"
 
 
-def _row_cost(
-    row: Any, deg: int, port_model: bool, meter_bits: bool
-) -> Tuple[int, int]:
-    """``(messages, bits)`` one recorded emission row put on the wire
-    (bits 0 unless ``meter_bits``): a port row pays per non-``None``
-    entry, a broadcast payload once per link of its ``deg``."""
-    if row is None:
-        return 0, 0
-    if port_model:
-        c = 0
-        b = 0
-        for msg in row:
-            if msg is not None:
-                c += 1
-                if meter_bits:
-                    b += message_size_bits(msg)
-        return c, b
-    return deg, deg * message_size_bits(row) if meter_bits else 0
+def _retire(
+    hist: _SessionHistory, result: RunResult, v: int, port_model: bool,
+    meter: Metering,
+) -> None:
+    """Take node ``v``'s recorded column out of the standing result's
+    metering totals and its halt round out of the histogram: a port
+    row pays per non-``None`` entry, a broadcast payload once per link
+    of its recorded degree."""
+    hist.halt_counts[hist.halt_round[v]] -= 1
+    if not meter.counts_messages:
+        return
+    meter_bits = meter.meters_bits
+    d = hist.deg[v]
+    round_bits = result.per_round_bits
+    messages = 0
+    for t, row in enumerate(hist.out[v]):
+        if row is None:
+            continue
+        if port_model:
+            for msg in row:
+                if msg is not None:
+                    messages += 1
+                    if meter_bits:
+                        round_bits[t] -= message_size_bits(msg)
+        else:
+            messages += d
+            if meter_bits:
+                round_bits[t] -= d * message_size_bits(row)
+    result.messages_sent -= messages
 
 
 def _record_run(
@@ -237,7 +245,6 @@ def _record_run(
         graph, machine, inputs, globals_map, max_rounds, seed, metering
     )
     history = _SessionHistory(
-        st=tape.st,
         out=tape.out,
         halt_round=tape.halt_round,
         quiet_round=tape.quiet_round,
@@ -247,23 +254,32 @@ def _record_run(
     return result, history
 
 
-def _dirty_cone(
-    topo: MutableTopology, seeds: Sequence[int], radius: int
-) -> Dict[int, int]:
-    """BFS distances from ``seeds`` out to ``radius`` (inclusive)."""
-    dist: Dict[int, int] = {v: 0 for v in seeds}
-    frontier = list(dist)
+def _light_cone(
+    topo: MutableTopology, hist: _SessionHistory, seeds: Sequence[int],
+    radius: int,
+) -> List[int]:
+    """The light cone of ``seeds``: one BFS out to ``radius`` that
+    neither takes nor expands a node first reached at distance ``d``
+    whose recorded halt or quiescence round is ``≤ d − 1`` (see the
+    module docstring)."""
+    halt_round = hist.halt_round
+    quiet_round = hist.quiet_round
+    cone = list(seeds)
+    seen = set(cone)
+    frontier = list(cone)
     d = 0
     while frontier and d < radius:
         d += 1
         nxt: List[int] = []
         for v in frontier:
             for u in topo.neighbours(v):
-                if u not in dist:
-                    dist[u] = d
-                    nxt.append(u)
+                if u not in seen:
+                    seen.add(u)
+                    if halt_round[u] >= d and quiet_round[u] >= d:
+                        nxt.append(u)
+        cone.extend(nxt)
         frontier = nxt
-    return dist
+    return cone
 
 
 def _remap_history(
@@ -278,23 +294,14 @@ def _remap_history(
 
     ``remove_vertex`` renumbering is order-preserving, so a surviving
     node's canonical ports — and therefore its recorded port rows —
-    stay valid under its new label; columns just move.  Removed nodes'
-    recorded messages are subtracted from the result's totals and
-    their halt entries from the histogram.  Fresh vertices get empty
-    columns, a provisional halt of 0 and no quiescence round — they
-    are always batch seeds, so the cone replay re-derives them from
-    ``start()``.
+    stay valid under its new label; columns just move.  Removed nodes
+    are retired (:func:`_retire`).  Fresh vertices get empty columns, a
+    provisional halt of 0 and no quiescence round — they are always
+    batch seeds, so the cone replay re-derives them from ``start()``.
     """
     meter = Metering.of(metering)
-    count_msgs = meter.counts_messages
-    meter_bits = meter.meters_bits
     port_model = model == PORT_NUMBERING
-    out_cols = hist.out
-    halt_counts = hist.halt_counts
-    round_bits = result.per_round_bits
-
     new_out: List[Optional[List[Any]]] = [None] * new_n
-    new_st: List[Optional[List[Any]]] = [None] * new_n
     new_halt: List[float] = [0.0] * new_n
     new_quiet: List[float] = [_INF] * new_n
     new_deg: List[int] = [0] * new_n
@@ -302,17 +309,9 @@ def _remap_history(
     new_states: List[Any] = [None] * new_n
     for old, new in enumerate(node_map):
         if new is None:
-            halt_counts[hist.halt_round[old]] -= 1
-            if count_msgs:
-                d_rec = hist.deg[old]
-                for t, row in enumerate(out_cols[old]):
-                    cnt, bits = _row_cost(row, d_rec, port_model, meter_bits)
-                    result.messages_sent -= cnt
-                    if bits:
-                        round_bits[t] -= bits
+            _retire(hist, result, old, port_model, meter)
             continue
-        new_out[new] = out_cols[old]
-        new_st[new] = hist.st[old]
+        new_out[new] = hist.out[old]
         new_halt[new] = hist.halt_round[old]
         new_quiet[new] = hist.quiet_round[old]
         new_deg[new] = hist.deg[old]
@@ -321,11 +320,9 @@ def _remap_history(
     for v in range(new_n):
         if new_out[v] is None:
             new_out[v] = []
-            new_st[v] = []
             new_halt[v] = 0
-            halt_counts[0] += 1
+            hist.halt_counts[0] += 1
     hist.out = new_out
-    hist.st = new_st
     hist.halt_round = new_halt
     hist.quiet_round = new_quiet
     hist.deg = new_deg
@@ -344,101 +341,57 @@ def _cone_replay(
     seed: Optional[int],
     hist: _SessionHistory,
     result: RunResult,
-    dist: Mapping[int, int],
-) -> Tuple[int, int]:
-    """The light-cone warm restart (see the module docstring).
+    nodes: Sequence[int],
+) -> int:
+    """The light-cone warm restart (see the module docstring) of the
+    cone ``nodes`` (:func:`_light_cone`).
 
-    ``dist`` maps every dirty-ball node to its BFS distance from the
-    batch's touched set.  A ball node that was already halted or
-    quiescent by round ``a = max(d − 1, 0)`` is skipped entirely: it is
-    silent and ignores its inbox, so its recorded trajectory stands
-    whatever its neighbours now send.  The rest — the cone — run on
-    the engine's own round loop (:func:`~repro.simulator.runtime.
-    _run_cone`): a cone node joins at round ``a`` from its recorded
-    state (its trajectory through round ``a`` is pure), or from
-    ``start`` when ``a = 0``, and emits fresh rows from there; its
-    neighbours outside the cone, and cone nodes before their join
-    round, send their recorded rows.  The loop parks and halts cone
-    nodes exactly as a full run would.
+    The cone runs on the engine's own round loop
+    (:func:`~repro.simulator.runtime._run_cone`): every cone node from
+    ``start`` at round 0, while its rim sends recorded rows.  The loop
+    parks and halts cone nodes exactly as a full run would.
 
     Splices the cone's fresh columns, states and outputs into ``hist``
     and ``result`` in place.  Metering is a delta: each cone node's
-    recorded rows from its join round on are replaced by the fresh
-    ones the loop metered (its fresh row at ``a`` equals the recorded
-    one).  The halt histogram re-derives the round count.  All of it
-    is O(cone + rim + R).
+    whole recorded column is retired (:func:`_retire`) and the fresh
+    rows the loop metered replace it.  The halt histogram re-derives
+    the round count.  All of it is O(cone + rim + R).
 
-    Returns ``(cone_size, node_rounds)`` — nodes re-executed and the
-    steps they took, the light cone's area.
+    Returns the light cone's area: the node-rounds the cone stepped.
     """
     meter = Metering.of(metering)
-    count_msgs = meter.counts_messages
-    meter_bits = meter.meters_bits
     port_model = machine.model == PORT_NUMBERING
-    out_cols = hist.out
-    st_cols = hist.st
-    halt_round = hist.halt_round
-    rec_deg = hist.deg
-    halt_counts = hist.halt_counts
-
-    # -- the cone: ball nodes still active when the wavefront arrives.
-    nodes: List[int] = []
-    joins: List[int] = []
-    for v, d in dist.items():
-        a = d - 1 if d else 0
-        if d and (halt_round[v] <= a or hist.quiet_round[v] <= a):
-            continue  # deaf to the perturbation before it could reach v
-        nodes.append(v)
-        joins.append(a)
     g = dict(globals_map or {})
     ctxs = [_node_context(v, topo.degree(v), inputs, g, seed) for v in nodes]
-    states = [
-        st_cols[v][a - 1] if a else machine.start(ctx)
-        for v, a, ctx in zip(nodes, joins, ctxs)
-    ]
-    fresh, tape = _run_cone(
-        topo, machine, nodes, ctxs, states, joins, out_cols, max_rounds, meter
-    )
+    fresh, tape = _run_cone(topo, machine, nodes, ctxs, hist.out, max_rounds, meter)
 
-    # -- per cone node: retire its recorded rows from its join round on
-    # (the loop metered their fresh replacements), move its halt entry
-    # and splice its columns, state and output.
-    round_bits = result.per_round_bits
-    messages = result.messages_sent + fresh.messages_sent
+    halt_counts = hist.halt_counts
     node_rounds = 0
     for i, v in enumerate(nodes):
-        a = joins[i]
-        rows = out_cols[v]
-        if count_msgs:
-            for t in range(a, len(rows)):
-                c, b = _row_cost(rows[t], rec_deg[v], port_model, meter_bits)
-                messages -= c
-                if b:
-                    round_bits[t] -= b
-        out_cols[v] = rows[:a] + tape.out[i]
-        st_cols[v] = st_cols[v][:a] + tape.st[i]
-        rec_deg[v] = ctxs[i].degree
-        halt_counts[halt_round[v]] -= 1
-        h = halt_round[v] = tape.halt_round[i]
+        _retire(hist, result, v, port_model, meter)
+        hist.out[v] = tape.out[i]
+        hist.deg[v] = ctxs[i].degree
+        h = hist.halt_round[v] = tape.halt_round[i]
         halt_counts[h] += 1
         hist.quiet_round[v] = tape.quiet_round[i]
         result.states[v] = fresh.states[i]
         result.outputs[v] = fresh.outputs[i]
         node_rounds += len(tape.out[i])
-    result.messages_sent = messages
+    result.messages_sent += fresh.messages_sent
 
     # -- round count: largest halt round, or the cap if any node ran
     # into it (exactly the engine's loop condition).
     halts = [h for h, c in halt_counts.items() if c]
     result.all_halted = _INF not in halts
     result.rounds = int(max(halts, default=0)) if result.all_halted else max_rounds
-    if meter_bits:
+    if meter.meters_bits:
+        round_bits = result.per_round_bits
         del round_bits[result.rounds:]
         round_bits.extend([0] * (result.rounds - len(round_bits)))
         for t, b in enumerate(fresh.per_round_bits[:result.rounds]):
             round_bits[t] += b
         result.message_bits = sum(round_bits)
-    return len(nodes), node_rounds
+    return node_rounds
 
 
 # ----------------------------------------------------------------------
@@ -451,14 +404,15 @@ class BatchStats:
     """Per-batch repair accounting (returned by :meth:`DynamicRun.apply`).
 
     ``repaired_nodes`` counts the nodes re-executed: ``n`` for scratch
-    mode and full solves, otherwise the light cone's nodes — the dirty
-    ball minus the nodes already halted or quiescent when the
-    wavefront reaches them.  ``cone_node_rounds`` is the light cone's
-    area — (node, round) step executions the warm restart actually
-    performed, each node cut off where it halts or parks (0 for
-    scratch mode and full-solve fallbacks).  ``wall_ms`` is the
-    batch's wall-clock latency; it is excluded from equality so
-    differential suites can compare stats lists across sessions.
+    mode and full solves, otherwise the light cone's nodes — the BFS
+    ball around the touched nodes, pruned where the wavefront reaches
+    a node already halted or quiescent.  ``cone_node_rounds`` counts
+    the (node, round) steps the batch performed, each node cut off
+    where it halts or parks: the light cone's area, or for a full
+    solve the node-rounds its recording stepped (scratch mode records
+    nothing and reports 0).  ``wall_ms`` is the batch's wall-clock
+    latency; it is excluded from equality so differential suites can
+    compare stats lists across sessions.
     """
 
     batch: int
@@ -606,17 +560,18 @@ class DynamicRun:
             seed=self._seed,
         )
 
-    def _solve_full(self) -> int:
-        """Solve the whole current graph; returns the node count
-        re-executed (always n here)."""
+    def _solve_full(self) -> Tuple[int, int]:
+        """Solve the whole current graph; returns ``(n, node_rounds)``:
+        every node re-executed, and the node-rounds a recorded solve
+        stepped (0 for a scratch session, which records nothing)."""
         graph = self.graph
         if self._topo is None:
             self._result = run(graph, self._machine, **self._run_kwargs())
-        else:
-            self._result, self._history = _record_run(
-                graph, self._machine, **self._run_kwargs()
-            )
-        return graph.n
+            return graph.n, 0
+        self._result, self._history = _record_run(
+            graph, self._machine, **self._run_kwargs()
+        )
+        return graph.n, sum(map(len, self._history.out))
 
     def apply(self, edits: Sequence[GraphEdit]) -> BatchStats:
         """Apply one edit batch and re-derive the cover.
@@ -655,7 +610,7 @@ class DynamicRun:
         self._inputs = new_inputs
         self._generation += 1
         try:
-            repaired = self._solve_full()
+            repaired, _ = self._solve_full()
         except BaseException:
             # Leave the session on its last consistent state.
             self._graph, self._inputs, self._generation = prev_state
@@ -691,8 +646,7 @@ class DynamicRun:
                     reason=f"{type(exc).__name__}: {exc}",
                 )
             self._history = None
-            repaired = self._solve_full()
-            cone_rounds = 0
+            repaired, cone_rounds = self._solve_full()
         return self._finish_batch(edits, len(ob.touched), repaired, cone_rounds, t0)
 
     def _validate_batch(self, ob: OverlayBatch) -> None:
@@ -718,21 +672,21 @@ class DynamicRun:
             # No history to replay (a failed re-solve dropped it), or
             # the previous run was cut off by max_rounds (replay would
             # be unsound): full recorded solve.
-            return self._solve_full(), 0
+            return self._solve_full()
         seeds = set(ob.touched)
         if not ob.identity:
             mapped = {new for new in ob.node_map if new is not None}
             seeds.update(v for v in range(n) if v not in mapped)
-        radius = prev_result.rounds
-        dist = _dirty_cone(self._topo, seeds, radius)
-        if len(dist) >= n:
-            return self._solve_full(), 0
-        if not ob.identity:
+            # The cone's BFS reads halt and quiescence rounds by the
+            # new labels.
             _remap_history(
                 hist, prev_result, ob.node_map, n,
                 self._machine.model, self._metering,
             )
-        cone, node_rounds = _cone_replay(
+        cone = _light_cone(self._topo, hist, seeds, prev_result.rounds)
+        if len(cone) >= n:
+            return self._solve_full()
+        node_rounds = _cone_replay(
             self._topo,
             self._machine,
             self._inputs,
@@ -742,9 +696,9 @@ class DynamicRun:
             self._seed,
             hist,
             prev_result,
-            dist,
+            cone,
         )
-        return cone, node_rounds
+        return len(cone), node_rounds
 
     def _finish_batch(
         self,
@@ -811,18 +765,19 @@ class DynamicRun:
             n, edges = self._topo.n, self._topo.edges_sorted()
         else:
             n, edges = self._graph.n, list(self._graph.edges)
-        # Key order is pickle order.  The state-heavy entries go first:
-        # pickle memoises what a state repeats once and refers back to
-        # it from every later state, with a 2-byte reference while the
-        # memo holds < 256 objects and a 5-byte one after.  For
-        # dict-based objects (§5 ``_BVCState``, ``_SessionHistory``)
-        # that is each attribute name.  The slotted §3 and §4 states
-        # pickle their field values by position, so for them it is the
-        # rebuild function, the class and the run constants they share.
+        # Key order is pickle order.  The standing result goes first,
+        # since it holds the session's only states (the history holds
+        # emission rows): pickle memoises what a state repeats once and
+        # refers back to it from every later state, with a 2-byte
+        # reference while the memo holds < 256 objects and a 5-byte
+        # one after.  For the dict-based §5 ``_BVCState`` that is each
+        # attribute name.  The slotted §3 and §4 states pickle their
+        # field values by position, so for them it is the rebuild
+        # function, the class and the run constants they share.
         payload = {
             "version": SNAPSHOT_VERSION,
-            "history": self._history,
             "result": self._result,
+            "history": self._history,
             "flow": self.flow,
             "mode": self.mode,
             "machine": self._machine,

@@ -339,8 +339,9 @@ def run(
 
     Dynamic sessions (:mod:`repro.dynamic.session`) run this same loop
     twice over: a recorded solve is this call with a :class:`_Tape`
-    (:func:`_run_recorded`), and a light-cone repair replays the cone
-    on the loop with a join schedule (:func:`_run_cone`).
+    (:func:`_run_recorded`), and a light-cone repair re-runs the cone's
+    nodes from ``start`` on the loop, fed by its rim's recorded rows
+    (:func:`_run_cone`).
     """
     return _run(
         graph, machine, inputs, globals_map, max_rounds, seed, observer,
@@ -535,25 +536,22 @@ class _Tape:
       stored as ``None`` too).  It ends at ``v``'s halt or quiescence
       round, whichever comes first (a halted or quiescent node is
       silent from then on, so ``t >= len(out[v])`` reads as ``None``).
-    * ``st[v][t]`` — ``v``'s state after round ``t``, kept only while
-      ``v`` stays live and not quiescent: the column ends one entry
-      before ``out[v]`` does (machine states are persistent values —
-      ``step`` returns successors without mutating its argument — so
-      these are references, not copies).  A replay resumes a node
-      only before it halts or turns quiescent, so the halted or
-      quiescent state itself is never read.
+      Its length is the number of rounds ``v`` was stepped.
     * ``halt_round[v]`` — first round at whose *start* ``v`` is halted
       (``inf`` = never within the run).
     * ``quiet_round[v]`` — first round at whose start ``v`` is
       quiescent but not halted (``inf`` = never, and always for
       machines without the quiescence protocol).
+
+    No states: a node's state after ``t`` rounds is a function of its
+    radius-``t`` ball, so a replay recomputes it from ``start`` and the
+    rows around it.
     """
 
-    __slots__ = ("out", "st", "halt_round", "quiet_round")
+    __slots__ = ("out", "halt_round", "quiet_round")
 
     def __init__(self, n: int) -> None:
         self.out: List[List[Any]] = [[] for _ in range(n)]
-        self.st: List[List[Any]] = [[] for _ in range(n)]
         self.halt_round: List[float] = [math.inf] * n
         self.quiet_round: List[float] = [math.inf] * n
 
@@ -777,25 +775,21 @@ class _BroadcastWires(_Wires):
 class _TapeSenders:
     """The recorded half of a light cone's delivery (:func:`_run_cone`).
 
-    A *tape sender* puts its recorded row on the wire: a rim node (a
-    neighbour of the cone outside it) in every round, a cone node
-    before its join round.  ``targets`` maps each sender to where its
-    row goes.  A sender is kept as ``(stop, rows, target)``: from round
-    ``stop`` on it writes nothing more (it joined, or its rows ran out
-    and one silent round has cleared its links).  Sorted so the next
-    to stop is last.
+    A *tape sender* is a rim node — a neighbour of the cone outside
+    it — and puts its recorded row on the wire every round.
+    ``targets`` maps each rim node to where its row goes.  A sender is
+    kept as ``(stop, rows, target)``: from round ``stop`` on it writes
+    nothing more (its rows ran out and one silent round has cleared
+    its links).  Sorted so the next to stop is last.
     """
 
-    def __init__(self, nodes: Sequence[int], joins: Sequence[int],
-                 recorded: Sequence[List[Any]],
+    def __init__(self, recorded: Sequence[List[Any]],
                  targets: Mapping[int, Any]) -> None:
-        until = dict(zip(nodes, joins))
         senders = []
         for u, target in targets.items():
-            a = until.get(u, math.inf)
             rows = recorded[u]
-            if a and rows:
-                senders.append((min(a, len(rows) + 1), rows, target))
+            if rows:
+                senders.append((len(rows) + 1, rows, target))
         senders.sort(key=lambda s: s[0], reverse=True)
         self.senders = senders
         self.round = 0  # a cone replay starts at round 0
@@ -816,12 +810,12 @@ class _TapeSenders:
 
 class _ConePortWires(_PortWires):
     """Port delivery inside a light cone, indexed by the cone's local
-    ids: the cone's inboxes, fed by fresh rows from joined cone nodes
-    and by the tape senders' recorded rows.  The rim never reads, so a
-    fresh row's entries for it go to a sink."""
+    ids: the cone's inboxes, fed by fresh rows from cone nodes and by
+    the tape senders' recorded rows.  The rim never reads, so a fresh
+    row's entries for it go to a sink."""
 
     def __init__(self, topo: Any, machine: Machine, ctxs: List[LocalContext],
-                 meter: Metering, nodes: Sequence[int], joins: Sequence[int],
+                 meter: Metering, nodes: Sequence[int],
                  recorded: Sequence[List[Any]]) -> None:
         _Wires.__init__(self, machine, ctxs, meter, [c.degree for c in ctxs])
         inboxes = self.inboxes = [[None] * d for d in self.degrees]
@@ -833,13 +827,9 @@ class _ConePortWires(_PortWires):
         sink = ([None], 0)
         self.scatter = [[sink] * d for d in self.degrees]
         for i, v in enumerate(nodes):
-            for dst, q, p in feeds.get(v, ()):
+            for dst, q, p in feeds.pop(v, ()):
                 self.scatter[i][p] = (dst, q)
-        self.tape = _TapeSenders(nodes, joins, recorded, feeds)
-        # Cone nodes start non-silent: one waiting to join holds last
-        # round's recorded row in its slots, which its first fresh
-        # silence must clear.
-        self.silent = bytearray(len(nodes))
+        self.tape = _TapeSenders(recorded, feeds)  # the rim's feeds remain
 
     def send(self, live: List[int], paused: frozenset, states: List[Any],
              outboxes: Optional[List[Any]],
@@ -860,18 +850,21 @@ class _ConeBroadcastWires(_BroadcastWires):
     tape senders' filled from the recording."""
 
     def __init__(self, topo: Any, machine: Machine, ctxs: List[LocalContext],
-                 meter: Metering, nodes: Sequence[int], joins: Sequence[int],
+                 meter: Metering, nodes: Sequence[int],
                  recorded: Sequence[List[Any]]) -> None:
         _Wires.__init__(self, machine, ctxs, meter, [c.degree for c in ctxs])
+        k = len(nodes)
         local = {v: i for i, v in enumerate(nodes)}
         self.nbrs = [
             [local.setdefault(u, len(local)) for u in topo.neighbours(v)]
             for v in nodes
         ]
-        self.tape = _TapeSenders(nodes, joins, recorded, local)
+        self.tape = _TapeSenders(
+            recorded, {u: x for u, x in local.items() if x >= k}
+        )
         self.payloads = [None] * len(local)
         self.keys = [_NONE_KEY] * len(local)
-        self.inboxes = [None] * len(nodes)
+        self.inboxes = [None] * k
 
     def send(self, live: List[int], paused: frozenset, states: List[Any],
              outboxes: Optional[List[Any]],
@@ -949,7 +942,6 @@ def _run_fast(
     adversary: Optional[Any],
     meter: Metering,
     tape: Optional[_Tape] = None,
-    joins: Optional[Sequence[int]] = None,
 ) -> RunResult:
     """The fast round loop, in either model, over the nodes of
     ``ctxs``, from ``states`` after ``rounds`` rounds (0, or the
@@ -962,16 +954,9 @@ def _run_fast(
     epilogue — is shared.
 
     A ``tape`` is filled where the loop already decides: ``send``
-    appends each live node's row, a step that leaves its node live
-    appends the new state, and the join, halt and park branches and
-    the fast-forward epilogue set the halt and quiescence rounds.
-
-    ``joins`` is a join schedule (default: every node at ``rounds``):
-    node ``v`` enters the loop at the start of round ``joins[v]``, from
-    ``states[v]``, as halted, parked or live.  Until then it is none of
-    these — a light cone's delivery strategy puts its recorded rows on
-    the wire — and the loop runs while any node is live or still due to
-    join.
+    appends each live node's row, and the start, halt and park
+    branches and the fast-forward epilogue set the halt and
+    quiescence rounds.
     """
     n = len(ctxs)
     step = machine.step
@@ -983,41 +968,33 @@ def _run_fast(
     # remaining execution is provably silent and inbox-independent, and
     # fast-forward their states once the active loop drains.  Disabled
     # under observers and fault adversaries, which need (or may
-    # corrupt) true per-round states.
+    # corrupt) true per-round states.  Every node is halted, parked or
+    # live, so the loop runs while some node is live.
     quiescent_fn = getattr(machine, "quiescent", None)
     parking = quiescent_fn is not None and observer is None and adversary is None
     parked: List[Tuple[int, int]] = []  # (node, round it was parked after)
     halted = [False] * n
     live: List[int] = []
-    due: Dict[int, Iterable[int]] = {rounds: range(n)}
-    if joins is not None:
-        due = {}
-        for v, a in enumerate(joins):
-            due.setdefault(a, []).append(v)
+    for v in range(n):
+        if halted_fn(ctxs[v], states[v]):
+            halted[v] = True
+            if tape is not None:
+                tape.halt_round[v] = rounds
+        elif parking and quiescent_fn(ctxs[v], states[v]):
+            # Already quiescent (notably the columnar prefix's handoff
+            # states): the contract says it emits None and ignores its
+            # inbox from here to halting, so it never needs a real round.
+            parked.append((v, rounds))
+            if tape is not None:
+                tape.quiet_round[v] = rounds
+        else:
+            live.append(v)
 
     tampers = getattr(adversary, "tampers", None)
     tr = obs.current()
     wires = None
     paused: frozenset = _EMPTY_SET
-    while True:
-        joining = due.pop(rounds, ())
-        for v in joining:
-            if halted_fn(ctxs[v], states[v]):
-                halted[v] = True
-                if tape is not None:
-                    tape.halt_round[v] = rounds
-            elif parking and quiescent_fn(ctxs[v], states[v]):
-                # Already quiescent (notably the columnar prefix's
-                # handoff states): the contract says it emits None and
-                # ignores its inbox from here to halting, so it never
-                # needs a real round.
-                parked.append((v, rounds))
-                if tape is not None:
-                    tape.quiet_round[v] = rounds
-            else:
-                live.append(v)
-        if not (live or due) or rounds >= max_rounds:
-            break
+    while live and rounds < max_rounds:
         if wires is None:
             # Built only when the loop actually runs: a start with every
             # node halted or parked (the columnar handoff on fully
@@ -1075,8 +1052,6 @@ def _run_fast(
                     tape.halt_round[v] = rounds + 1
                 else:
                     tape.quiet_round[v] = rounds + 1
-            for v in next_live:
-                tape.st[v].append(states[v])
         if tampered:
             # Tampering can put a message on a halted sender's link
             # (a duplicated one, say); it is delivered this round only.
@@ -1143,8 +1118,6 @@ def _run_cone(
     machine: Machine,
     nodes: Sequence[int],
     ctxs: List[LocalContext],
-    states: List[Any],
-    joins: Sequence[int],
     recorded: Sequence[List[Any]],
     max_rounds: int,
     meter: Metering,
@@ -1154,21 +1127,17 @@ def _run_cone(
 
     ``nodes`` are the cone's node ids in ``topo`` (anything with
     ``neighbours`` and ``ports``); the loop runs over their local ids
-    ``0..k-1``, by which ``ctxs``, ``states``, ``joins`` and the
-    returned result and tape are indexed.  Cone node ``i`` joins at
-    round ``joins[i]`` from ``states[i]``.  Every neighbour outside the
-    cone, and every cone node before its join round, sends its
-    ``recorded`` row (a recorded tape's ``out``, indexed by node id);
-    the result meters only the cone's fresh rows.  Setup is O(cone +
-    rim), never O(n).
+    ``0..k-1``, by which ``ctxs`` and the returned result and tape are
+    indexed.  Every cone node runs from ``start`` at round 0, and every
+    neighbour outside the cone (the rim) sends its ``recorded`` row (a
+    recorded tape's ``out``, indexed by node id); the result meters
+    only the cone's fresh rows.  Setup is O(cone + rim), never O(n).
     """
-    wires = partial(
-        _CONE_WIRES[machine.model], nodes=nodes, joins=joins, recorded=recorded
-    )
+    wires = partial(_CONE_WIRES[machine.model], nodes=nodes, recorded=recorded)
     tape = _Tape(len(nodes))
     result = _run_fast(
-        topo, machine, ctxs, wires, states, 0, 0, [], max_rounds,
-        None, None, meter, tape, joins,
+        topo, machine, ctxs, wires, [machine.start(ctx) for ctx in ctxs],
+        0, 0, [], max_rounds, None, None, meter, tape,
     )
     return result, tape
 

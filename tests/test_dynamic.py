@@ -15,6 +15,8 @@ Plus unit tests for the edit language and streams themselves.
 
 from __future__ import annotations
 
+import gc
+import types
 from functools import partial
 
 import pytest
@@ -244,9 +246,9 @@ def test_quiescence_pruning_engages_and_stays_exact():
 def test_quiescent_nodes_stop_recording():
     """Memory guard: on the unit-weight cycle every node is quiescent
     after Phase I's settle round 2Δ + 1, so — before and after a
-    repair — no node holds more than 2Δ + 1 = 5 emission rows, nor
-    states beyond the 2Δ = 4 it can be resumed from (27 of each before
-    quiescence ended the columns), and a silent row is ``None``."""
+    repair — no node holds more than 2Δ + 1 = 5 emission rows (27
+    before quiescence ended the columns), and a silent row is
+    ``None``."""
     n = 512
     sess = DynamicRun.vertex_cover(families.cycle_graph(n), unit_weights(n))
     for batch in ([], [remove_edge(100, 101)], [add_edge(100, 101)]):
@@ -254,10 +256,58 @@ def test_quiescent_nodes_stop_recording():
             apply_loudly(sess, batch)
         hist = sess._history
         assert max(len(col) for col in hist.out) <= 5
-        assert max(len(col) for col in hist.st) <= 4
-        assert sum(len(col) for col in hist.st) <= 4 * n
         rows = [row for col in hist.out for row in col if row is not None]
         assert all(any(m is not None for m in row) for row in rows)
+
+
+@pytest.mark.parametrize("model", [PORT_NUMBERING, BROADCAST])
+def test_cone_stops_at_quiet_nodes(model):
+    """The cone's BFS neither takes nor expands a node that is already
+    quiescent when the wavefront reaches it: on a path whose node 1 is
+    quiescent from round 0, a reweight of node 0 re-runs node 0 alone
+    (the unpruned ball covers the path)."""
+    g = families.path_graph(6)
+    inputs = [5, 0, 5, 5, 5, 5]
+
+    def session(mode):
+        return DynamicRun(g, inputs, Echo(model), {}, 50, mode=mode,
+                          flow="custom")
+
+    inc, scr = session("incremental"), session("scratch")
+    stats = apply_loudly(inc, [reweight(0, 6)])
+    scr.apply([reweight(0, 6)])
+    assert_same_result(inc.result, scr.result)
+    assert stats.repaired_nodes == 1
+
+
+def _reachable(root):
+    """Every object reachable from ``root``, without descending into
+    classes, modules or functions."""
+    seen = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen[id(obj)] = obj
+        stack.extend(
+            x for x in gc.get_referents(obj)
+            if not isinstance(x, (type, types.ModuleType, types.FunctionType))
+        )
+    return seen.values()
+
+
+@pytest.mark.parametrize("algorithm", ["port", "broadcast"])
+def test_history_holds_no_machine_state(algorithm):
+    """A session records emission rows, not states: after a repair, no
+    object reachable from its history is a state of its machine."""
+    sess = DynamicRun.vertex_cover(
+        families.cycle_graph(12), uniform_weights(12, 3, seed=2),
+        algorithm=algorithm,
+    )
+    apply_loudly(sess, [remove_edge(3, 4)])
+    state_types = {type(st) for st in sess.result.states}
+    assert not any(type(o) in state_types for o in _reachable(sess._history))
 
 
 def _counting_steps(machine):
@@ -416,7 +466,7 @@ def test_invalid_mode_rejected():
 
 
 def test_incremental_history_survives_fallback():
-    """A batch whose ball covers the whole graph falls back to a full
+    """A batch whose cone covers the whole graph falls back to a full
     recorded solve; the *next* small batch must warm-restart again."""
     n = 256
     inc = DynamicRun.vertex_cover(
@@ -425,8 +475,8 @@ def test_incremental_history_survives_fallback():
     scr = DynamicRun.vertex_cover(
         families.cycle_graph(n), unit_weights(n), mode="scratch"
     )
-    # Many spread-out edits: ball ≈ everything.
-    wide = [remove_edge(i, i + 1) for i in range(0, n - 1, 16)]
+    # Many spread-out edits: cone ≈ everything.
+    wide = [remove_edge(i, i + 1) for i in range(0, n - 1, 8)]
     s_wide = _apply_both(inc, scr, wide)
     assert s_wide.repaired_fraction == 1.0
     s_small = _apply_both(inc, scr, [add_edge(0, 1)])

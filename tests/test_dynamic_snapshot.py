@@ -156,10 +156,30 @@ class TestSnapshotFormat:
         victim = _vc_session()
         payload = pickle.loads(victim.snapshot())
         assert payload["version"] == SNAPSHOT_VERSION
-        for other in (SNAPSHOT_VERSION + 1, 6):
+        for other in (SNAPSHOT_VERSION + 1, SNAPSHOT_VERSION - 1, 6):
             payload["version"] = other
             with pytest.raises(ValueError, match="snapshot version"):
                 DynamicRun.restore(pickle.dumps(payload))
+
+    def test_churn_serve_session_fits_its_byte_budget(self):
+        """Bytes per session, on perfbench's churn-serve shape: after
+        160 two-edit batches the snapshot stays within 400 kB (it held
+        about 1.16 MB while the history kept per-round states)."""
+        n = 1000
+        session = DynamicRun.vertex_cover(
+            families.cycle_graph(n), uniform_weights(n, 8, seed=11000)
+        )
+        stream = RandomChurn(2, seed=11, max_degree=2)
+        applied = 0
+        for _ in range(400):
+            batch = stream.next_batch(session.graph, session.inputs)
+            if batch:
+                session.apply(batch)
+                applied += 1
+                if applied == 160:
+                    break
+        assert applied == 160
+        assert len(session.snapshot()) <= 400_000
 
     def test_garbage_rejected(self):
         with pytest.raises(ValueError, match="snapshot"):

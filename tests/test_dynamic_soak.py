@@ -68,15 +68,14 @@ def _soak(graph, weights, *, algorithm, delta, W, metering, stream_kind, seed,
         # columns cover exactly the current graph's nodes.
         hist = inc._history
         n = inc.graph.n
-        assert len(hist.out) == len(hist.st) == len(hist.deg) == n
+        assert len(hist.out) == len(hist.deg) == n
         assert len(hist.halt_round) == len(hist.quiet_round) == n
         # Per node: rows up to the halt or quiescence round (the whole
-        # run when neither happens), and one state fewer than rows.
+        # run when neither happens).
         for v in range(n):
             stop = min(hist.halt_round[v], hist.quiet_round[v])
             rows = len(hist.out[v])
             assert rows == (inc.result.rounds if stop == math.inf else stop)
-            assert len(hist.st[v]) == max(rows - 1, 0)
     assert applied >= 100, f"stream went quiet: only {applied} batches"
     assert inc.cover() == scr.cover()
     assert inc.is_cover()
