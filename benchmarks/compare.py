@@ -13,7 +13,14 @@ them against the baseline:
 
 ``check`` exits non-zero if any baselined benchmark got more than 25%
 slower (override with ``--threshold``), or vanished from the run.
-After an intentional perf change, refresh the baseline with
+Given several runs of one tree, it compares each benchmark's minimum
+across them with the baseline, so one slow outlier run does not fail
+the check (``benchmarks/README.md`` has the measurement):
+
+    python benchmarks/compare.py check /tmp/b1.json /tmp/b2.json /tmp/b3.json
+
+After an intentional perf change, refresh the baseline (from one run)
+with
 
     python benchmarks/compare.py update /tmp/bench.json
 
@@ -88,6 +95,17 @@ def load_run(path: Path) -> dict:
     return out
 
 
+def min_over_runs(runs: list) -> dict:
+    """Each benchmark's fastest run: the entry with the least ``min``.
+    A benchmark some run lacks is left out, so ``check`` reports it
+    missing."""
+    names = set(runs[0]).intersection(*runs[1:])
+    return {
+        name: min((run[name] for run in runs), key=lambda b: b["min"])
+        for name in names
+    }
+
+
 def compute_headlines(baseline: dict) -> dict:
     headlines = {}
     for key, ((num_sec, num_name), (den_sec, den_name)) in HEADLINES.items():
@@ -141,13 +159,16 @@ def cmd_update(current: dict, baseline: dict, baseline_path: Path) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("command", choices=["check", "update"])
-    parser.add_argument("current", type=Path,
-                        help="fresh pytest-benchmark JSON output")
+    parser.add_argument("current", type=Path, nargs="+",
+                        help="fresh pytest-benchmark JSON output; check "
+                             "takes the minimum over several runs")
     parser.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE)
     parser.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     args = parser.parse_args(argv)
+    if args.command == "update" and len(args.current) > 1:
+        parser.error("update records one run")
 
-    current = load_run(args.current)
+    current = min_over_runs([load_run(path) for path in args.current])
     baseline = (
         json.loads(args.baseline.read_text()) if args.baseline.exists() else {}
     )

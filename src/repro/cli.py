@@ -123,7 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=list(ENGINES),
         default="object",
         help="runtime execution substrate for --algorithm port "
-        "('columnar' vectorises Phase I; results bit-identical)",
+        "('columnar' vectorises Phase I and the colour pipeline; "
+        "results bit-identical)",
     )
     vc.add_argument(
         "--replay",
@@ -193,7 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=list(ENGINES),
         default="object",
         help="runtime execution substrate for --algorithm port "
-        "('columnar' vectorises Phase I; results bit-identical)",
+        "('columnar' vectorises Phase I and the colour pipeline; "
+        "results bit-identical)",
     )
     sw.add_argument(
         "--replay",

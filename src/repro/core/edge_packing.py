@@ -54,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import compress
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.colours import (
@@ -121,6 +122,12 @@ def _decode_saturation(value: int) -> bool:
 def _decode_offer(value: int, den: int) -> ScaledInt:
     """Wire payload of a columnar p1b emission, for metering."""
     return ScaledInt(value, den, den)
+
+
+def _int_column(bound: int) -> Any:
+    """Column dtype for integers in ``[-1, bound)``: ``int64`` while
+    ``bound`` fits, else ``object`` (Python ints)."""
+    return state_layout.np.int64 if bound <= 2 ** 63 else object
 
 
 def _colour_digit(el: Any, scale: int, radix: int) -> int:
@@ -927,30 +934,37 @@ class EdgePackingMachine(Machine):
 
     # -- columnar kernels (engine="columnar") ---------------------------
     #
-    # Phase I on int64 columns: the Lemma 2 grid makes every Phase I
-    # quantity a plain machine integer (numerators against the shared
-    # (Δ!)^Δ denominator, mixed-radix colour digits), so the 2Δ+1
-    # leading rounds vectorise as whole-array passes over a
-    # StateLayout.  The kernels reproduce _absorb_saturation_bits /
-    # the p1a offer / _p1b_update / _finish_phase_one *exactly* —
+    # Every round before the first star round runs as whole-array passes
+    # over a StateLayout; the schedule is global, so all nodes are in
+    # the same phase.  Phase I (2Δ+1 rounds) lives on the Lemma 2 grid:
+    # numerators against the shared (Δ!)^Δ denominator and mixed-radix
+    # colour digits, all integers.  They are int64 columns while they
+    # fit, else object columns of Python ints (_int_column) — the colour
+    # accumulators reach radix^Δ, 90 bits on Δ=4, W=16.  The colour
+    # pipeline (announce, T_cv Cole–Vishkin rounds, three
+    # shift-down/eliminate pairs) keeps one *slot* per (node, forest)
+    # membership: the occupied entries of an (n, Δ) table in row-major
+    # order, each with its colour, its child half-edge (the out-port
+    # realising the forest, -1 at a root), whether the node is a parent
+    # there, and its children's colour.  The first CV step shrinks every
+    # colour below 2·bit_length, so from then on colours are int64.
+    # The kernels reproduce _absorb_saturation_bits / the p1a offer /
+    # _p1b_update / _finish_phase_one / the announce step / _cv_update
+    # / _shift_down_update / _eliminate_update *exactly* —
     # tests/test_columnar_engine.py pins bit-for-bit equality of every
-    # RunResult field against the object engine and run_reference.
-
-    #: int64 columns must never overflow; the largest value any column
-    #: reaches is a colour accumulator < radix^Δ.
-    _COLUMNAR_INT_BOUND = 2 ** 63
+    # RunResult field against the object engine and run_reference.  The
+    # star rounds' α-rule leaves the grid, so they stay object rounds.
 
     def columnar_fields(
         self, graph: PortNumberedGraph, ctxs: Sequence[LocalContext]
     ) -> Optional[ColumnarPlan]:
-        """Phase I (2Δ+1 rounds) as int64 columns, when the grid fits.
+        """Every round before the first star round, as array columns.
 
-        Engages only for scaled-arithmetic digit-mode runs whose colour
-        accumulators provably fit an ``int64`` (``radix^Δ < 2^63``).
-        Anything else — fraction mode, bignum radix, missing/invalid
-        globals (the object path raises the canonical error) — returns
-        ``None``: falling back is always correct, engaging wrongly
-        never is.
+        Engages for every scaled-arithmetic digit-mode run.  Fraction
+        mode, a radix wider than 64 bits (where ``start`` leaves digit
+        mode) and missing/invalid globals (the object path raises the
+        canonical error) return ``None``: falling back is always
+        correct, engaging wrongly never is.
         """
         if self.arithmetic != "scaled" or not ctxs:
             return None
@@ -963,23 +977,27 @@ class EdgePackingMachine(Machine):
             return None
         if delta < 1 or W < 1:
             return None
-        den = factorial(delta) ** delta
-        radix = W * den + 1
+        radix = W * factorial(delta) ** delta + 1
         if radix.bit_length() > 64:
             return None  # not digit mode: start() falls back to Fraction
-        if radix ** delta >= self._COLUMNAR_INT_BOUND:
-            return None  # colour accumulators would overflow int64
+        num = _int_column(radix)  # offers, residuals, packing values
+        acc = _int_column(radix ** delta)  # colour accumulators
         return ColumnarPlan(
-            rounds=2 * delta + 1,
+            rounds=schedule_length(delta, W) - 6 * delta,
             node_fields=(
-                ("w", 0), ("r_num", 0), ("x_num", -1), ("own_acc", 0),
+                ("w", 0), ("r_num", 0, num), ("x_num", -1, num),
+                ("own_acc", 0, acc),
             ),
-            edge_fields=(("y_num", 0), ("estate", _ACT), ("nbr_acc", 0)),
+            edge_fields=(
+                ("y_num", 0, num), ("estate", _ACT), ("nbr_acc", 0, acc),
+                ("forest_in", -1),
+            ),
         )
 
     def start_columnar(
         self, layout: "state_layout.StateLayout", ctxs: Sequence[LocalContext]
     ) -> None:
+        np = state_layout.np
         ctx0 = ctxs[0]
         delta = ctx0.require_global("delta")
         W = ctx0.require_global("W")
@@ -999,60 +1017,98 @@ class EdgePackingMachine(Machine):
             weights.append(w)
         w_col = layout.node["w"]
         w_col[:] = weights
-        layout.node["r_num"][:] = w_col * den
+        r_num = layout.node["r_num"]
+        r_num[:] = w_col.astype(r_num.dtype) * den
         # x_num stays -1 (no offer yet); own_acc/y_num/nbr_acc stay 0,
-        # estate stays ACTIVE — the declared fill values.
+        # estate stays ACTIVE, forest_in stays -1 (None) — the declared
+        # fill values.
+        every_port = np.ones(len(layout.targets), dtype=bool)
         layout.aux["ep"] = {
             "delta": delta, "den": den, "radix": W * den + 1, "one": one,
             "sched": sched, "sched_len": sched_len,
             "offers": [],  # per-p1b-round offer columns (rebuilds own_seq)
+            "every_port": every_port,
+            "decode_offer": partial(_decode_offer, den=den),
         }
 
     def emit_columnar(self, layout: "state_layout.StateLayout", r: int):
-        np = state_layout.np
         aux = layout.aux["ep"]
-        if r % 2 == 0:  # p1a / p1_settle: the saturation bit, every port
-            values = (layout.node["r_num"] == 0).astype(np.int64)
-            return values, np.ones(layout.n, dtype=bool), _decode_saturation
-        # p1b: the current offer; x_num < 0 encodes None (no offer)
-        x_num = layout.node["x_num"]
-        return x_num, x_num >= 0, partial(_decode_offer, den=aux["den"])
+        kind = aux["sched"][r][0]
+        owner = layout.edge_owner
+        if kind in ("p1a", "p1_settle"):  # the saturation bit, every port
+            sat = (layout.node["r_num"] == 0)[owner]
+            return sat, aux["every_port"], _decode_saturation
+        if kind == "p1b":  # the current offer; x_num < 0 encodes None
+            x_num = layout.node["x_num"]
+            return x_num[owner], (x_num >= 0)[owner], aux["decode_offer"]
+        if kind == "announce":  # each out-port names its forest
+            return aux["rank"], aux["out"], int
+        # cv / sd / elim: parents send their colour down every in-edge.
+        values = aux["values"]
+        values[aux["down_he"]] = aux["colour"][aux["down_slot"]]
+        return values, aux["down"], int
 
     def step_columnar(
         self, layout: "state_layout.StateLayout", r: int,
         inbox_vals, inbox_sent,
     ) -> None:
+        aux = layout.aux["ep"]
+        tag = aux["sched"][r]
+        kind = tag[0]
+        if kind == "p1b":
+            self._p1b_columnar(layout, inbox_vals, inbox_sent)
+        elif kind in ("p1a", "p1_settle"):
+            # _absorb_saturation_bits: own saturation dominates (all
+            # ports), a neighbour's bit saturates the one shared edge.
+            estate = layout.edge["estate"]
+            own_sat = (layout.node["r_num"] == 0)[layout.edge_owner]
+            estate[own_sat | (inbox_sent & inbox_vals)] = _SAT
+            if kind == "p1_settle":
+                self._settle_columnar(layout)
+            else:
+                self._offer_columnar(layout)
+        elif kind == "announce":
+            self._announce_columnar(layout, inbox_vals, inbox_sent)
+        elif len(aux["colour"]):  # cv / sd / elim, with forests to colour
+            if kind == "cv":
+                self._cv_columnar(aux, inbox_vals, inbox_sent)
+            elif kind == "sd":
+                self._shift_down_columnar(aux, inbox_vals, inbox_sent)
+            else:
+                self._eliminate_columnar(aux, inbox_vals, inbox_sent, tag[1])
+
+    @staticmethod
+    def _offer_columnar(layout: "state_layout.StateLayout") -> None:
+        """The p1a offer: ``r / deg_active`` where both are positive."""
+        np = state_layout.np
+        r_num = layout.node["r_num"]
+        x_num = layout.node["x_num"]
+        active_deg = layout.node_count(layout.edge["estate"] == _ACT)
+        x_num[:] = -1
+        idx = np.nonzero((r_num > 0) & (active_deg > 0))[0]
+        if len(idx):
+            num = r_num[idx]
+            deg = active_deg[idx].astype(r_num.dtype)
+            q = num // deg
+            if (q * deg != num).any():
+                raise AssertionError(
+                    "inexact scaled division — the Lemma 2 denominator "
+                    "bound does not cover a Phase I offer"
+                )
+            x_num[idx] = q
+
+    @staticmethod
+    def _p1b_columnar(
+        layout: "state_layout.StateLayout", inbox_vals, inbox_sent
+    ) -> None:
+        """_p1b_update: grow colour accumulators, accept active offers."""
         np = state_layout.np
         aux = layout.aux["ep"]
-        delta, den, radix = aux["delta"], aux["den"], aux["radix"]
+        den, radix = aux["den"], aux["radix"]
         r_num = layout.node["r_num"]
         x_num = layout.node["x_num"]
         estate = layout.edge["estate"]
         owner = layout.edge_owner
-
-        if r % 2 == 0:  # p1a / p1_settle
-            # _absorb_saturation_bits: own saturation dominates (all
-            # ports), a neighbour's bit saturates the one shared edge.
-            estate[(r_num == 0)[owner] | (inbox_sent & (inbox_vals != 0))] \
-                = _SAT
-            if r == 2 * delta:
-                self._settle_columnar(layout)
-                return
-            # p1a: offer r / deg_active where both are positive.
-            active_deg = layout.node_count(estate == _ACT)
-            x_num[:] = -1
-            idx = np.nonzero((r_num > 0) & (active_deg > 0))[0]
-            if len(idx):
-                q, rem = np.divmod(r_num[idx], active_deg[idx])
-                if rem.any():
-                    raise AssertionError(
-                        "inexact scaled division — the Lemma 2 denominator "
-                        "bound does not cover a Phase I offer"
-                    )
-                x_num[idx] = q
-            return
-
-        # p1b: grow colour accumulators, accept offers on active edges.
         aux["offers"].append(x_num.copy())
         own_digit = np.where(x_num >= 0, x_num, den)
         nbr_digit = np.where(inbox_sent, inbox_vals, den)
@@ -1064,8 +1120,10 @@ class EdgePackingMachine(Machine):
                 f"Lemma 2 violated: colour element outside (0, W] "
                 f"(radix {radix})"
             )
-        layout.node["own_acc"][:] = layout.node["own_acc"] * radix + own_digit
-        layout.edge["nbr_acc"][:] = layout.edge["nbr_acc"] * radix + nbr_digit
+        own_acc = layout.node["own_acc"]
+        nbr_acc = layout.edge["nbr_acc"]
+        own_acc[:] = own_acc * radix + own_digit.astype(own_acc.dtype)
+        nbr_acc[:] = nbr_acc * radix + nbr_digit.astype(nbr_acc.dtype)
         active = estate == _ACT
         own_on_edge = x_num[owner]
         if bool((active & ((own_on_edge < 0) | ~inbox_sent)).any()):
@@ -1083,28 +1141,143 @@ class EdgePackingMachine(Machine):
         estate[active & (own_digit[owner] != nbr_digit) & ~newly_sat] = _MUL
         estate[newly_sat] = _SAT
 
-    def _settle_columnar(self, layout: "state_layout.StateLayout") -> None:
-        """The _finish_phase_one invariants, checked column-wise."""
+    @staticmethod
+    def _settle_columnar(layout: "state_layout.StateLayout") -> None:
+        """_finish_phase_one, column-wise: its invariants, and the
+        orientation the announce round sends (``out``: multicoloured
+        half-edges towards the higher colour; ``rank``: an out-port's
+        forest, its rank among its node's out-ports, else -1)."""
+        np = state_layout.np
+        aux = layout.aux["ep"]
         estate = layout.edge["estate"]
         if bool((estate == _ACT).any()):
             raise AssertionError(
                 "active edge survived Phase I — Lemma 1 violated (is the "
                 "global Δ parameter really an upper bound on the degree?)"
             )
+        mul = estate == _MUL
         own = layout.node["own_acc"][layout.edge_owner]
-        if bool(((estate == _MUL) & (own == layout.edge["nbr_acc"])).any()):
+        nbr = layout.edge["nbr_acc"]
+        if bool((mul & (own == nbr)).any()):
             raise AssertionError("multicoloured edge with equal colours")
+        out = mul & (own < nbr)
+        seen = np.concatenate(([0], np.cumsum(out)))
+        before = seen[layout.offsets[:-1]][layout.edge_owner]
+        aux["out"] = out
+        aux["rank"] = np.where(out, seen[1:] - before - 1, -1)
+
+    @staticmethod
+    def _announce_columnar(
+        layout: "state_layout.StateLayout", inbox_vals, inbox_sent
+    ) -> None:
+        """The announce step: ``forest_in``, and the pipeline's slots."""
+        np = state_layout.np
+        aux = layout.aux["ep"]
+        delta = aux["delta"]
+        owner = layout.edge_owner
+        out = aux["out"]
+        mul = layout.edge["estate"] == _MUL
+        forest_in = layout.edge["forest_in"]
+        forest_in[:] = np.where(inbox_sent & mul, inbox_vals, -1)
+        down = forest_in >= 0
+        down_he = np.nonzero(down)[0]
+        out_he = np.nonzero(out)[0]
+        parent_key = owner[down_he] * delta + forest_in[down_he]
+        child_key = owner[out_he] * delta + aux["rank"][out_he]
+        keys = np.union1d(parent_key, child_key)  # sorted: node-major
+        child_he = np.full(len(keys), -1, dtype=np.int64)
+        child_he[np.searchsorted(keys, child_key)] = out_he
+        down_slot = np.searchsorted(keys, parent_key)
+        is_parent = np.zeros(len(keys), dtype=bool)
+        is_parent[down_slot] = True
+        is_child = child_he >= 0
+        own_acc = layout.node["own_acc"]
+        aux.update(
+            keys=keys, down=down, down_he=down_he, down_slot=down_slot,
+            child_he=child_he, is_child=is_child,
+            parent_he=child_he[is_child], is_parent=is_parent,
+            colour=own_acc[keys // delta],
+            children=np.full(len(keys), -1, dtype=np.int64),
+            values=np.zeros(len(forest_in), dtype=own_acc.dtype),
+        )
+
+    @staticmethod
+    def _parent_colours(aux, inbox_vals, inbox_sent, what: str):
+        """The colour each child slot's parent sent (slot order)."""
+        he = aux["parent_he"]
+        if not inbox_sent[he].all():
+            raise AssertionError(f"missing parent colour in {what}")
+        return inbox_vals[he]
+
+    def _cv_columnar(self, aux, inbox_vals, inbox_sent) -> None:
+        """_cv_update over every slot: ``cv_step_colour`` against the
+        parent's colour, or against ``own ^ 1`` at a root."""
+        np = state_layout.np
+        own = aux["colour"]
+        parent = own ^ 1  # cv_pseudo_parent
+        parent[aux["is_child"]] = self._parent_colours(
+            aux, inbox_vals, inbox_sent, "CV round"
+        )
+        same = own == parent
+        if same.any():
+            raise ValueError(
+                f"CV step requires differing colours, both are "
+                f"{own[same][0]}"
+            )
+        diff = own ^ parent
+        low = diff & -diff  # lowest differing bit, as a power of two
+        if own.dtype == object:
+            i = np.frompyfunc(int.bit_length, 1, 1)(low) - 1
+        else:
+            i = np.frexp(low)[1].astype(np.int64) - 1  # exact: 2^i < 2^63
+        aux["colour"] = (2 * i + ((own >> i) & 1)).astype(np.int64)
+        if aux["values"].dtype == object:  # every later colour is small
+            aux["values"] = np.zeros(len(aux["values"]), dtype=np.int64)
+
+    def _shift_down_columnar(self, aux, inbox_vals, inbox_sent) -> None:
+        """_shift_down_update over every slot: children take the
+        parent's colour, roots ``shift_down_root_colour``, and a parent
+        remembers its old colour as its children's."""
+        prev = aux["colour"]
+        colour = (prev == 0).astype(prev.dtype)  # shift_down_root_colour
+        colour[aux["is_child"]] = self._parent_colours(
+            aux, inbox_vals, inbox_sent, "shift-down"
+        )
+        aux["children"] = state_layout.np.where(aux["is_parent"], prev, -1)
+        aux["colour"] = colour
+
+    @staticmethod
+    def _eliminate_columnar(aux, inbox_vals, inbox_sent, target: int) -> None:
+        """_eliminate_update: slots wearing ``target`` take the least
+        colour of {0, 1, 2} that neither their parent (if any) nor
+        their children wear (``eliminate_class_colour``)."""
+        np = state_layout.np
+        colour = aux["colour"]
+        hit = np.nonzero(colour == target)[0]
+        if not len(hit):
+            return
+        he = aux["child_he"][hit]
+        sent = np.zeros(len(hit), dtype=bool)
+        sent[he >= 0] = inbox_sent[he[he >= 0]]
+        parent = np.where(sent, inbox_vals[np.maximum(he, 0)], -1)
+        children = aux["children"][hit]
+        colour[hit] = np.where(
+            (parent != 0) & (children != 0), 0,
+            np.where((parent != 1) & (children != 1), 1, 2),
+        )
 
     def finish_columnar(
         self, layout: "state_layout.StateLayout", ctxs: Sequence[LocalContext]
     ) -> List[_State]:
-        """Materialise post-settle _State objects for the object engine.
+        """Materialise _State objects at the first star round.
 
-        Field-for-field what 2Δ+1 object-engine rounds would have left:
-        the differential suite compares these states (and everything
-        derived from them) with ``==``, so every reconstruction below
-        must match _finish_phase_one's read-off exactly.
+        Field-for-field what the object engine's rounds would have
+        left: the differential suite compares these states (and
+        everything derived from them) with ``==``, so every
+        reconstruction below must match _finish_phase_one, the announce
+        step and the pipeline updates exactly.
         """
+        np = state_layout.np
         aux = layout.aux["ep"]
         delta, den, radix = aux["delta"], aux["den"], aux["radix"]
         one, sched, sched_len = aux["one"], aux["sched"], aux["sched_len"]
@@ -1125,20 +1298,39 @@ class EdgePackingMachine(Machine):
         )
         est_col = [_EST_CODES[c] for c in layout.edge["estate"].tolist()]
         nbr_col = layout.edge["nbr_acc"].tolist()
-        offer_cols = []
-        for col in aux["offers"]:
-            vals = []
-            for o in col.tolist():
+        fin_col = [
+            i if i >= 0 else None for i in layout.edge["forest_in"].tolist()
+        ]
+        out_col = aux["out"].tolist()  # the out-ports, as _finish_phase_one
+        down_col = aux["down"].tolist()  # ports with a forest_in entry
+        # Each node's p1b offers, one tuple of numerators per node
+        # (-1: no offer that round, the element 1).  Nodes with equal
+        # offers share one colour sequence, keyed by the numerators:
+        # hashing plain ints is cheap, hashing ScaledInts is not.
+        offer_rows = list(zip(*[col.tolist() for col in aux["offers"]]))
+        own_seqs: Dict[Tuple[int, ...], Tuple[Any, ...]] = {}
+        for row in set(offer_rows):
+            seq = []
+            for o in row:
                 if o < 0:
-                    vals.append(one)  # no offer that round
+                    seq.append(one)
                 else:
                     v = interned.get(o)
                     if v is None:
-                        v = ScaledInt(o, den, den)
-                        interned[o] = v
-                    vals.append(v)
-            offer_cols.append(vals)
-        idx0 = 2 * delta + 1
+                        v = interned[o] = ScaledInt(o, den, den)
+                    seq.append(v)
+            own_seqs[row] = tuple(seq)
+        # The pipeline's slots, node by node: slot_at[v]:slot_at[v + 1].
+        keys = aux["keys"]
+        slot_at = np.searchsorted(
+            keys, np.arange(layout.n + 1) * delta
+        ).tolist()
+        slot_forest = (keys % delta).tolist()
+        slot_colour = aux["colour"].tolist()
+        slot_children = [
+            c if c >= 0 else None for c in aux["children"].tolist()
+        ]
+        idx0 = len(sched) - 6 * delta
         # Per-node structures are built under the _State copy-on-write
         # discipline (see _State.evolve: shared containers are replaced,
         # never mutated), so identical values may share one object —
@@ -1157,7 +1349,6 @@ class EdgePackingMachine(Machine):
         empty_replies: Dict[int, Tuple] = {}
         forest_in_by_d: Dict[int, List[Optional[int]]] = {}
         nbr_seq_by_d: Dict[int, Tuple] = {}
-        own_seq_cache: Dict[Tuple, Tuple] = {}
         build = _State.build
         states: List[_State] = []
         for v in range(layout.n):
@@ -1167,31 +1358,32 @@ class EdgePackingMachine(Machine):
             nbr_acc_v = tuple(nbr_col[s:e])
             colour_int = acc_col[v]
             x_v = x_col[v]
+            if d not in forest_in_by_d:
+                forest_in_by_d[d] = [None] * d
+                nbr_seq_by_d[d] = ((),) * d
             if has_mul[v]:
-                out_ports = [
-                    p for p in range(d)
-                    if estate_v[p] == MULTICOLOURED
-                    and colour_int < nbr_acc_v[p]
-                ]
-                forest_of_out = {p: i for i, p in enumerate(out_ports)}
-                colour_f = {i: colour_int for i in forest_of_out.values()}
+                out_ports = list(compress(range(d), out_col[s:e]))
+                forest_of_out = dict(zip(out_ports, range(d)))
+                forest_in = fin_col[s:e]
+                a, b = slot_at[v], slot_at[v + 1]
+                forests_v = slot_forest[a:b]
+                colour_f = dict(zip(forests_v, slot_colour[a:b]))
+                children_colour_f = dict(zip(forests_v, slot_children[a:b]))
+                down_ports = tuple(compress(range(d), down_col[s:e]))
             else:
                 out_ports = no_ports
                 forest_of_out = no_forests
+                forest_in = forest_in_by_d[d]
                 colour_f = no_colours
-            forest_in = forest_in_by_d.get(d)
-            if forest_in is None:
-                forest_in = forest_in_by_d[d] = [None] * d
-                nbr_seq_by_d[d] = ((),) * d
-            own_seq = tuple(col[v] for col in offer_cols)
-            own_seq = own_seq_cache.setdefault(own_seq, own_seq)
-            states.append(build(
+                children_colour_f = empty_children
+                down_ports = ()
+            st = build(
                 idx0,  # idx
                 w_col[v],  # w
                 r_col[v],  # r
                 y_col[s:e],  # y
                 estate_v,  # estate
-                own_seq,  # own_seq
+                own_seqs[offer_rows[v]],  # own_seq
                 True,  # digit_mode
                 colour_int,  # own_acc
                 nbr_acc_v,  # nbr_acc
@@ -1208,14 +1400,17 @@ class EdgePackingMachine(Machine):
                 forest_of_out,  # forest_of_out
                 forest_in,  # forest_in
                 colour_f,  # colour_f
-                empty_children,  # children_colour_f
+                children_colour_f,  # children_colour_f
                 empty_replies,  # star_replies
                 sched,  # sched
                 sched_len,  # sched_len
                 (),  # forests
-                (),  # down_ports
+                down_ports,  # down_ports
                 not has_mul[v],  # coasting
-            ))
+            )
+            if has_mul[v]:
+                st.forests = tuple(st.my_forests())
+            states.append(st)
         return states
 
 

@@ -134,21 +134,23 @@ class Machine:
     per-node ``step()`` calls:
 
     ``columnar_fields(graph, ctxs) -> ColumnarPlan | None``
-        declare the ``int64`` state columns and how many leading
-        rounds the kernels cover; ``None`` (the default) opts the run
-        out and the object engine handles it.  Machines must return
-        ``None`` for any configuration their kernels do not reproduce
-        exactly (wrong arithmetic mode, values off the ``int64`` grid,
-        ...) — falling back is always correct, engaging wrongly never.
+        declare the state columns (``int64``, or ``object`` columns of
+        Python ints) and how many leading rounds the kernels cover;
+        ``None`` (the default) opts the run out and the object engine
+        handles it.  Machines must return ``None`` for any
+        configuration their kernels do not reproduce exactly (wrong
+        arithmetic mode, a value range the kernels do not cover, ...)
+        — falling back is always correct, engaging wrongly never.
     ``start_columnar(layout, ctxs)``
         fill the declared columns with the initial state, applying the
         same input validation as ``start``.
     ``emit_columnar(layout, r) -> (values, sending, decode)``
-        the round-``r`` emission as a per-node ``int64`` value column
-        plus a boolean sending mask; covered rounds must be
-        *port-uniform* (the same payload on every port — delivery is a
-        CSR gather).  ``decode(int) -> message`` rebuilds the wire
-        payload for bits metering.
+        the round-``r`` emission as a per-half-edge value column —
+        entry ``i`` travels out of half-edge ``i``, as entry ``p`` of
+        an ``emit`` row travels out of port ``p`` — plus a boolean
+        sending mask; delivery is the gather
+        ``values[layout.reverse]``.  ``decode(int) -> message``
+        rebuilds the wire payload for bits metering.
     ``step_columnar(layout, r, inbox_vals, inbox_sent)``
         the round-``r`` transition over per-half-edge inbox columns
         (``inbox_sent[i]`` false means silence — ``None`` — on that

@@ -307,8 +307,9 @@ def run(
     the columnar protocol (:mod:`repro.simulator.state_layout`) as
     vectorised whole-array passes, then hands the remainder to the
     object engine.  Runs that do not qualify — machine opted out, no
-    numpy, observer/adversary attached, empty graph, values off the
-    ``int64`` grid — fall back to ``"object"`` automatically.  Results
+    numpy, observer/adversary attached, empty graph, a configuration
+    the machine's kernels do not cover — fall back to ``"object"``
+    automatically.  Results
     are bit-for-bit identical across engines
     (``tests/test_columnar_engine.py``).
 
@@ -448,10 +449,10 @@ def _columnar_prefix(
     over a :class:`~repro.simulator.state_layout.StateLayout` and
     materialises per-node states; :func:`_run_fast` resumes from them
     at the returned round count.  Returns ``(states, rounds,
-    messages_sent, per_round_bits)``.  Covered rounds are
-    port-uniform, so delivery is the single gather
-    ``values[targets]``; the gathered inbox columns are handed to
-    kernels *read-only* — the columnar counterpart of the object
+    messages_sent, per_round_bits)``.  A round's emission holds one
+    value per half-edge, and delivery is the single gather
+    ``values[layout.reverse]``; the gathered inbox columns are handed
+    to kernels *read-only* — the columnar counterpart of the object
     engine's reused-buffer trap, made impossible rather than
     documented.
     """
@@ -476,13 +477,13 @@ def _columnar_prefix(
         return None
     np = state_layout.np
     layout = state_layout.StateLayout(graph)
-    for name, fill in plan.node_fields:
-        layout.add_node_field(name, fill)
-    for name, fill in plan.edge_fields:
-        layout.add_edge_field(name, fill)
+    for field in plan.node_fields:
+        layout.add_node_field(*field)
+    for field in plan.edge_fields:
+        layout.add_edge_field(*field)
     machine.start_columnar(layout, ctxs)
 
-    degrees = layout.degrees
+    reverse = layout.reverse
     count_msgs = meter.counts_messages
     meter_bits = meter.meters_bits
     messages_sent = 0
@@ -492,20 +493,17 @@ def _columnar_prefix(
     for r in range(plan.rounds):
         values, sending, decode = machine.emit_columnar(layout, r)
         if layout.halted.any():
-            sending = sending & ~layout.halted
+            sending = sending & ~layout.halted[layout.edge_owner]
         if count_msgs:
-            # Port-uniform rounds: a sender pays one message per port.
-            messages_sent += int(degrees[sending].sum())
+            messages_sent += int(np.count_nonzero(sending))
             if meter_bits:
-                sent_vals = values[sending]
-                uniq, inv = np.unique(sent_vals, return_inverse=True)
-                sizes = np.fromiter(
-                    (message_size_bits(decode(u)) for u in uniq.tolist()),
-                    dtype=np.int64, count=len(uniq),
-                )
-                per_round_bits.append(int((sizes[inv] * degrees[sending]).sum()))
-        inbox_vals = values[layout.targets]
-        inbox_sent = sending[layout.targets]
+                uniq, counts = np.unique(values[sending], return_counts=True)
+                per_round_bits.append(sum(
+                    message_size_bits(decode(u)) * c
+                    for u, c in zip(uniq.tolist(), counts.tolist())
+                ))
+        inbox_vals = values[reverse]
+        inbox_sent = sending[reverse]
         inbox_vals.flags.writeable = False
         inbox_sent.flags.writeable = False
         machine.step_columnar(layout, r, inbox_vals, inbox_sent)

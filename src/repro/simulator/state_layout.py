@@ -2,17 +2,19 @@
 
 The object engine steps machines node-by-node through Python objects;
 :class:`StateLayout` is the alternative substrate behind
-``run(engine="columnar")``: every state field is one preallocated
-``int64`` numpy column (per node, or per half-edge), message delivery
-is a whole-array CSR gather, and a round is a handful of vectorised
-passes instead of ``n`` ``step()`` calls.
+``run(engine="columnar")``: every state field is one preallocated numpy
+column (per node, or per half-edge) — ``int64``, or ``object`` holding
+Python ints where a machine's values outgrow a machine word — message
+delivery is one whole-array gather, and a round is a handful of
+vectorised passes instead of ``n`` ``step()`` calls.
 
 The layout mirrors :meth:`repro.graphs.topology.PortNumberedGraph.csr`:
 half-edge ``i`` (``offsets[v] <= i < offsets[v+1]``) is node ``v``'s
 port ``i - offsets[v]``; ``targets[i]`` is the neighbour behind that
-port.  Because the covered rounds of the shipped machines broadcast
-*port-uniform* payloads (the same value on every port), delivering a
-round is the single gather ``values[targets]`` — no scatter loop.
+port.  A round's emission is one value per half-edge, and the message
+sent out of half-edge ``i`` arrives on ``reverse[i]``, the neighbour's
+half-edge for the same edge; delivering a round is the single gather
+``values[reverse]`` — no scatter loop.
 
 Machines opt in per run via the columnar protocol on
 :class:`repro.simulator.machine.Machine` (``columnar_fields`` /
@@ -29,7 +31,7 @@ and the columnar engine silently falls back to the object engine
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 try:  # gated: the rest of the package must import without numpy
     import numpy as np
@@ -50,14 +52,15 @@ class ColumnarPlan:
     vectorised kernels cover — after them the engine materialises
     per-node state objects via ``finish_columnar`` and hands the rest
     of the run to the object engine.  ``node_fields``/``edge_fields``
-    declare the ``int64`` columns (name, fill value) the kernels use;
-    per-node columns have shape ``(n,)``, per-half-edge columns
-    ``(2m,)``.
+    declare the columns the kernels use as ``(name, fill)`` — an
+    ``int64`` column — or ``(name, fill, dtype)``, where a ``dtype`` of
+    ``object`` holds Python ints of any size; per-node columns have
+    shape ``(n,)``, per-half-edge columns ``(2m,)``.
     """
 
     rounds: int
-    node_fields: Tuple[Tuple[str, int], ...] = ()
-    edge_fields: Tuple[Tuple[str, int], ...] = ()
+    node_fields: Tuple[Tuple[Any, ...], ...] = ()
+    edge_fields: Tuple[Tuple[Any, ...], ...] = ()
 
 
 class StateLayout:
@@ -68,6 +71,10 @@ class StateLayout:
     offsets, targets, rev_ports:
         the graph's CSR arrays as ``int64`` numpy arrays (see
         :meth:`~repro.graphs.topology.PortNumberedGraph.csr`).
+    reverse:
+        per-half-edge involution ``offsets[targets] + rev_ports``: the
+        half-edge on which a message sent out of half-edge ``i``
+        arrives, so ``values[reverse]`` delivers a round.
     degrees:
         per-node degree column, shape ``(n,)``.
     edge_owner:
@@ -79,7 +86,7 @@ class StateLayout:
         masked nodes.  Kernels whose nodes may halt mid-plan must set
         it (the shipped edge-packing kernels never halt mid-plan).
     node, edge:
-        the named ``int64`` state columns declared by the machine's
+        the named state columns declared by the machine's
         :class:`ColumnarPlan`.
     aux:
         machine-private scratch (per-run constants, history columns);
@@ -97,6 +104,7 @@ class StateLayout:
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.targets = np.asarray(flat_targets, dtype=np.int64)
         self.rev_ports = np.asarray(flat_rev, dtype=np.int64)
+        self.reverse = self.offsets[self.targets] + self.rev_ports
         self.degrees = np.asarray(graph.degree_array, dtype=np.int64)
         self.edge_owner = np.repeat(
             np.arange(self.n, dtype=np.int64), self.degrees
@@ -108,26 +116,23 @@ class StateLayout:
 
     # -- field management ----------------------------------------------
 
-    def add_node_field(self, name: str, fill: int = 0) -> "np.ndarray":
+    def add_node_field(self, name: str, fill: int = 0,
+                       dtype: Any = None) -> "np.ndarray":
         if name in self.node:
             raise ValueError(f"duplicate node field {name!r}")
-        col = np.full(self.n, fill, dtype=np.int64)
+        col = np.full(self.n, fill, dtype=dtype or np.int64)
         self.node[name] = col
         return col
 
-    def add_edge_field(self, name: str, fill: int = 0) -> "np.ndarray":
+    def add_edge_field(self, name: str, fill: int = 0,
+                       dtype: Any = None) -> "np.ndarray":
         if name in self.edge:
             raise ValueError(f"duplicate edge field {name!r}")
-        col = np.full(len(self.targets), fill, dtype=np.int64)
+        col = np.full(len(self.targets), fill, dtype=dtype or np.int64)
         self.edge[name] = col
         return col
 
     # -- whole-array passes --------------------------------------------
-
-    def gather(self, node_col: "np.ndarray") -> "np.ndarray":
-        """Per-half-edge view of a per-node column: entry ``i`` is the
-        sender's value on half-edge ``i`` (port-uniform delivery)."""
-        return node_col[self.targets]
 
     def node_sum(self, edge_col: "np.ndarray") -> "np.ndarray":
         """Per-node sum of a per-half-edge column (CSR segment reduce).
@@ -137,10 +142,8 @@ class StateLayout:
         rows are zeroed explicitly and trailing offsets clamped —
         isolated vertices are first-class here.
         """
-        if self.n == 0:
-            return np.zeros(0, dtype=np.int64)
-        if len(edge_col) == 0:
-            return np.zeros(self.n, dtype=np.int64)
+        if self.n == 0 or len(edge_col) == 0:
+            return np.zeros(self.n, dtype=edge_col.dtype)
         starts = np.minimum(self.offsets[:-1], len(edge_col) - 1)
         sums = np.add.reduceat(edge_col, starts)
         sums[self.degrees == 0] = 0

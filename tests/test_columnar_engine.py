@@ -1,14 +1,19 @@
 """Columnar engine ≡ object engine ≡ reference engine, field for field.
 
 The columnar engine (:func:`repro.simulator.runtime.run` with
-``engine="columnar"``) executes the leading Phase I rounds of the
-Section 3 edge-packing machine as vectorised whole-array kernels over a
-:class:`~repro.simulator.state_layout.StateLayout`, then hands the
-remainder to the object engine.  This suite is the contract: on
-randomised instances and named families, across every metering mode and
-both arithmetic modes, all three engines must produce identical
+``engine="columnar"``) executes every round of the Section 3
+edge-packing machine before its first star round — Phase I and the
+Phase II colour pipeline (announce, Cole–Vishkin, shift-down and
+elimination) — as vectorised whole-array kernels over a
+:class:`~repro.simulator.state_layout.StateLayout`, then hands the star
+rounds to the object engine.  This suite is the contract: on randomised
+instances and named families, across every metering mode and both
+arithmetic modes, all three engines must produce identical
 :class:`RunResult` fields — outputs, rounds, halting, exact message and
-bit counts, per-round bit traces, and final states.
+bit counts, per-round bit traces, and final states.  Dedicated cells
+cover colour accumulators beyond ``int64`` (held as Python ints in
+``object`` columns), a 64-bit radix, instances whose forests have real
+parents and roots, and budgets that end inside the pipeline.
 
 It also pins the engine's safety properties (read-only inbox columns,
 automatic fallback whenever the kernels cannot reproduce the object
@@ -24,6 +29,11 @@ import random
 import pytest
 
 from repro.core.broadcast_vc import BroadcastVertexCoverMachine, bvc_round_count
+from repro.core.cole_vishkin import (
+    cv_pseudo_parent,
+    cv_step_colour,
+    eliminate_class_colour,
+)
 from repro.core.edge_packing import (
     EdgePackingMachine,
     maximal_edge_packing,
@@ -40,6 +50,7 @@ from repro.simulator.runtime import (
     run,
     run_reference,
 )
+from repro.simulator import state_layout
 from repro.simulator.state_layout import HAVE_NUMPY
 
 from helpers import assert_run_results_equal
@@ -152,7 +163,8 @@ def test_differential_seeded_runtime_rng(seed):
 
 
 class _RecordingMachine(EdgePackingMachine):
-    """Counts columnar kernel calls and records inbox writability.
+    """Counts columnar kernel calls, records inbox writability, the
+    plan, the column dtypes and the handoff states.
 
     The mutation of ``self`` is test instrumentation only — the machine
     contract (purity) is about the simulated state, which this subclass
@@ -163,6 +175,13 @@ class _RecordingMachine(EdgePackingMachine):
         super().__init__(**kwargs)
         self.step_calls = 0
         self.writable_flags = []
+        self.plan = None
+        self.dtypes = {}
+        self.handoff = None
+
+    def columnar_fields(self, graph, ctxs):
+        self.plan = super().columnar_fields(graph, ctxs)
+        return self.plan
 
     def step_columnar(self, layout, r, inbox_vals, inbox_sent):
         self.step_calls += 1
@@ -171,16 +190,38 @@ class _RecordingMachine(EdgePackingMachine):
         )
         super().step_columnar(layout, r, inbox_vals, inbox_sent)
 
+    def finish_columnar(self, layout, ctxs):
+        self.dtypes = {
+            name: str(col.dtype)
+            for name, col in {**layout.node, **layout.edge}.items()
+        }
+        # A copy: the engine's round loop replaces the list's entries.
+        self.handoff = list(super().finish_columnar(layout, ctxs))
+        return self.handoff
+
+
+def pipeline_rounds(delta, W):
+    """Every round before the first star round: 2Δ + 8 + T_cv."""
+    return schedule_length(delta, W) - 6 * delta
+
+
+def assert_covered_whole_plan(machine, delta, W):
+    assert machine.plan is not None, "the machine declined the plan"
+    assert machine.plan.rounds == pipeline_rounds(delta, W)
+    assert machine.step_calls == machine.plan.rounds
+
 
 @needs_numpy
 def test_columnar_actually_engages():
-    """Canary: on a scaled-mode run the kernels must really cover all
-    2Δ+1 Phase I rounds — a silent fallback would make the whole
+    """Canary: on a scaled-mode run the kernels must really cover every
+    round before the first star round (2Δ + 8 + T_cv: Phase I and the
+    colour pipeline) — a silent fallback would make the whole
     differential suite vacuous."""
     g = families.cycle_graph(8)
     machine = _RecordingMachine()
     run(g, machine, engine="columnar", **ep_kwargs(g, unit_weights(8), 1))
-    assert machine.step_calls == 2 * g.max_degree + 1
+    assert machine.step_calls == pipeline_rounds(g.max_degree, 1)
+    assert_covered_whole_plan(machine, g.max_degree, 1)
 
 
 @needs_numpy
@@ -221,12 +262,12 @@ def test_fraction_mode_declines_columnar_plan():
 
 
 def test_bignum_radix_declines_columnar_plan():
-    """Δ, W large enough that the colour accumulators would overflow
-    int64: the machine must refuse the plan (and the object path still
+    """A radix wider than 64 bits, where start() itself leaves digit
+    mode: the machine must refuse the plan (and the object path still
     solves the instance)."""
-    g = families.complete_graph(6)  # delta = 5, den = (5!)^5
+    g = families.complete_graph(8)  # delta = 7: (7!)^7 has 87 bits
     machine = _RecordingMachine()
-    W = 3
+    W = 3  # radix W·(7!)^7 + 1 has 88
     result = run(
         g, machine, engine="columnar",
         inputs=[1] * g.n,
@@ -245,6 +286,162 @@ def test_bignum_radix_declines_columnar_plan():
         metering="bits",
     )
     assert_identical(result, ref)
+
+
+def _thinned_regular(d, n, seed):
+    """A random d-regular graph with about a sixth of its edges
+    dropped: degrees 0..d, and Δ stays small enough for digit mode."""
+    rng = random.Random(f"thinned:{d}:{n}:{seed}")
+    base = families.random_regular(d, n, seed=seed)
+    edges = [e for e in base.edges if rng.random() >= 1 / 6]
+    return PortNumberedGraph.from_edges(n, edges)
+
+
+_BIGNUM_CASES = [
+    # (name, graph, W): radix^Δ >= 2^63, so the colour accumulators
+    # are object columns of Python ints.
+    ("K6", lambda: families.complete_graph(6), 3),
+    ("4-regular-60", lambda: families.random_regular(4, 60, seed=7), 16),
+    ("5-regular-40", lambda: families.random_regular(5, 40, seed=8), 4),
+]
+
+
+@needs_numpy
+@pytest.mark.parametrize("metering", METERING_MODES)
+@pytest.mark.parametrize("case", range(len(_BIGNUM_CASES)))
+def test_bignum_accumulators_engage(case, metering):
+    """Colour accumulators beyond int64 run in object columns, and the
+    first CV step shrinks them back to int64: the kernels still cover
+    the whole plan, and all three engines agree."""
+    _name, make, W = _BIGNUM_CASES[case]
+    g = make()
+    rng = random.Random(f"bignum:{case}")
+    weights = [rng.randint(1, W) for _ in range(g.n)]
+    machine = _RecordingMachine()
+    run_three_ways(g, machine, **ep_kwargs(g, weights, W, metering))
+    assert_covered_whole_plan(machine, g.max_degree, W)
+    assert machine.dtypes["own_acc"] == machine.dtypes["nbr_acc"] == "object"
+    assert machine.dtypes["r_num"] == "int64"
+
+
+@needs_numpy
+@pytest.mark.parametrize("metering", METERING_MODES)
+def test_64_bit_radix_engages(metering):
+    """A radix of exactly 64 bits is still digit mode, but the Phase I
+    numerators no longer fit int64: they are object columns too."""
+    g = families.complete_graph(7)  # delta = 6: (6!)^6 has 57 bits
+    W = 100  # radix W·(6!)^6 + 1 has 64
+    rng = random.Random("radix64")
+    weights = [rng.randint(1, W) for _ in range(g.n)]
+    machine = _RecordingMachine()
+    run_three_ways(g, machine, **ep_kwargs(g, weights, W, metering))
+    assert_covered_whole_plan(machine, g.max_degree, W)
+    assert machine.dtypes["r_num"] == machine.dtypes["y_num"] == "object"
+
+
+@needs_numpy
+@pytest.mark.parametrize("metering", METERING_MODES)
+@pytest.mark.parametrize("W", (8, 16))
+@pytest.mark.parametrize("seed", range(3))
+def test_pipeline_heavy_instances(seed, W, metering):
+    """Random bounded-degree instances whose Phase II forests are deep:
+    CV reads real parents, some node is a child and a parent in one
+    forest, and some forest has a root."""
+    g = _thinned_regular(3 + seed % 2, 48, seed)
+    rng = random.Random(f"pipeline:{seed}:{W}")
+    weights = [rng.randint(1, W) for _ in range(g.n)]
+    machine = _RecordingMachine()
+    run_three_ways(g, machine, **ep_kwargs(g, weights, W, metering))
+    assert_covered_whole_plan(machine, g.max_degree, W)
+    states = machine.handoff
+    assert any(
+        set(st.forest_of_out.values()) & st.parent_forests() for st in states
+    ), "no node is both child and parent in a forest"
+    assert any(
+        st.parent_forests() - set(st.forest_of_out.values()) for st in states
+    ), "no forest has a root"
+
+
+# The colour pipeline's kernels against the per-node rules of
+# repro.core.cole_vishkin.  An elimination changes a run's result only
+# when the recoloured node has descendants two levels down (the later
+# shift-downs overwrite the rest), which random instances almost never
+# have, so the rules are also checked directly: each kernel on
+# hand-built slots where slot k's parent colour, if any, arrives on
+# inbox half-edge k.
+
+
+def _slots(parents):
+    np = state_layout.np
+    is_child = np.array([p is not None for p in parents])
+    return {
+        "is_child": is_child,
+        "parent_he": np.nonzero(is_child)[0],
+        "child_he": np.where(is_child, np.arange(len(parents)), -1),
+    }
+
+
+@needs_numpy
+@pytest.mark.parametrize("bits", (3, 62, 90))
+def test_cv_kernel_matches_cv_step_colour(bits):
+    """Roots step against ``own ^ 1``, children against their parent;
+    90-bit colours (object columns) come out as int64."""
+    np = state_layout.np
+    rng = random.Random(f"cv-kernel:{bits}")
+    own, parents = [], []
+    while len(own) < 400:
+        o = rng.getrandbits(bits)
+        p = None if rng.random() < 0.3 else rng.getrandbits(bits)
+        if p != o:
+            own.append(o)
+            parents.append(p)
+    dtype = object if bits > 63 else np.int64
+    aux = _slots(parents)
+    aux["colour"] = np.array(own, dtype=dtype)
+    aux["values"] = np.zeros(len(own), dtype=dtype)
+    inbox_vals = np.array([p or 0 for p in parents], dtype=dtype)
+    EdgePackingMachine()._cv_columnar(aux, inbox_vals, aux["is_child"])
+    assert aux["colour"].dtype == np.int64
+    assert aux["colour"].tolist() == [
+        cv_step_colour(o, cv_pseudo_parent(o) if p is None else p)
+        for o, p in zip(own, parents)
+    ]
+    # The object path's invariant errors.
+    inbox_vals[aux["parent_he"][0]] = own[aux["parent_he"][0]]
+    aux["colour"] = np.array(own, dtype=dtype)
+    with pytest.raises(ValueError, match="differing colours"):
+        EdgePackingMachine()._cv_columnar(aux, inbox_vals, aux["is_child"])
+    with pytest.raises(AssertionError, match="missing parent colour"):
+        EdgePackingMachine()._cv_columnar(
+            aux, inbox_vals, np.zeros(len(own), dtype=bool)
+        )
+
+
+@needs_numpy
+@pytest.mark.parametrize("target", (3, 4, 5))
+def test_eliminate_kernel_matches_eliminate_class_colour(target):
+    """Every (own, parent, children) colour combination, None included."""
+    np = state_layout.np
+    cases = [
+        (own, parent, children)
+        for own in range(6)
+        for parent in (None, *range(6))
+        for children in (None, *range(6))
+    ]
+    parents = [parent for _own, parent, _children in cases]
+    aux = _slots(parents)
+    aux["colour"] = np.array([own for own, _p, _c in cases])
+    aux["children"] = np.array(
+        [-1 if c is None else c for _own, _p, c in cases]
+    )
+    inbox_vals = np.array([-1 if p is None else p for p in parents])
+    EdgePackingMachine._eliminate_columnar(
+        aux, inbox_vals, aux["is_child"], target
+    )
+    assert aux["colour"].tolist() == [
+        eliminate_class_colour(own, target, parent, children)
+        for own, parent, children in cases
+    ]
 
 
 def test_broadcast_machine_falls_back():
@@ -476,19 +673,24 @@ def test_edge_packing_max_rounds_fails_loudly(engine):
 
 
 def test_max_rounds_truncation_still_matches():
-    """A budget that truncates mid-schedule (columnar prefix cannot
-    engage: plan.rounds > max_rounds) must still match the object
-    engine on the partial run."""
-    g = families.cycle_graph(6)
-    kwargs = dict(
-        inputs=unit_weights(6),
-        globals_map={"delta": 2, "W": 1},
-        max_rounds=3,  # < 2Δ+1 = 5
-        metering="bits",
-    )
-    col = run(g, EdgePackingMachine(), engine="columnar", **kwargs)
-    obj = run(g, EdgePackingMachine(), engine="object", **kwargs)
-    ref = run_reference(g, EdgePackingMachine(), **kwargs)
-    assert_identical(col, obj)
-    assert_identical(col, ref)
-    assert not col.all_halted
+    """Budgets below the plan's 2Δ + 8 + T_cv rounds (the columnar
+    prefix cannot engage, so the run falls back) must still match the
+    object engine and the reference on the partial run: 3 rounds on the
+    unit 6-cycle, and 2Δ + 3 rounds, which stop after the first
+    Cole–Vishkin round, on a thinned 3-regular graph in every metering
+    mode."""
+    cycle = families.cycle_graph(6)
+    cases = [(cycle, unit_weights(6), 1, 3, "bits")]
+    thinned = _thinned_regular(3, 48, 0)
+    rng = random.Random("short-budget")
+    weights = [rng.randint(1, 16) for _ in range(thinned.n)]
+    cases += [
+        (thinned, weights, 16, 2 * thinned.max_degree + 3, metering)
+        for metering in METERING_MODES
+    ]
+    for g, weights, W, budget, metering in cases:
+        kwargs = ep_kwargs(g, weights, W, metering)
+        kwargs["max_rounds"] = budget
+        result = run_three_ways(g, EdgePackingMachine(), **kwargs)
+        assert result.rounds == budget
+        assert not result.all_halted
